@@ -152,11 +152,6 @@ class ScenarioSpec:
         """The spec as plain data, independent of field ordering."""
         data = asdict(self)
         data["config"]["server_grant"] = list(data["config"]["server_grant"])
-        # The engine knob selects bit-identical cores, so it never forks
-        # a result; at the default it stays out of the canonical form
-        # entirely (pre-knob spec keys and goldens are unchanged).
-        if data["config"]["engine"] == "default":
-            del data["config"]["engine"]
         # asdict() loses each event's ClassVar ``kind`` tag; use the
         # schedule's own canonical form (which keeps it).
         data["faults"] = self.faults.canonical()

@@ -501,84 +501,6 @@ class HotPathCodecRule(Rule):
                 and node.func.id in imported)
 
 
-class BurstBypassRule(Rule):
-    """P002 — per-packet work that bypasses the burst & pool fast-path
-    APIs in the simulation hot path.
-
-    Two patterns, both strictly dominated by an existing API:
-
-    * A bare ``sim.after(...)`` / ``sim.at(...)`` whose :class:`Event`
-      handle is discarded.  An un-kept handle can never be cancelled, so
-      the call pays the Event allocation plus live/cancelled bookkeeping
-      for nothing — ``sim.call_after`` / ``sim.call_at`` schedule the
-      same callback at the same (time, seq) position as a plain 4-tuple.
-      Sites that keep the handle (``self._timer = sim.after(...)``) are
-      untouched: cancellability is exactly what the Event buys.
-    * Direct ``Packet(...)`` construction.  It draws uids from the
-      module-global fallback counter, so back-to-back runs in one
-      process see different uid sequences (shifting hash-keyed queue
-      decisions), and the packet can never recycle through the
-      simulator's pool — the data path allocates via
-      ``sim.alloc_packet``.
-
-    The pool's own miss branch — the one place that *must* construct a
-    ``Packet`` — carries ``# repro: allow-p002``.
-    """
-
-    code = "P002"
-    name = "burst-bypass"
-    summary = ("discarded sim.after/sim.at Event or direct Packet() "
-               "construction bypassing the burst/pool fast-path APIs")
-    motivation = ("per-packet Event allocation and module-global packet "
-                  "uids were a measurable share of the flood-scenario "
-                  "event-loop cost (see DESIGN.md, fast path)")
-
-    _HOT_MODULES = ("repro.sim", "repro.core", "repro.transport",
-                    "repro.faults")
-    _SCHED = {"after": "call_after", "at": "call_at"}
-
-    def check(self, tree: ast.AST, ctx: FileContext) -> Iterator[RawFinding]:
-        if not ctx.module.startswith(self._HOT_MODULES):
-            return
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
-                finding = self._discarded_schedule(node.value)
-                if finding is not None:
-                    yield finding
-            elif isinstance(node, ast.Call) and self._is_packet_ctor(node):
-                yield RawFinding(
-                    node.lineno, node.col_offset,
-                    "direct Packet() construction in the hot path draws "
-                    "from the module-global uid counter and bypasses the "
-                    "pool; allocate via sim.alloc_packet (the pool's own "
-                    "miss branch carries # repro: allow-p002)",
-                )
-
-    def _discarded_schedule(self, call: ast.Call) -> Optional[RawFinding]:
-        func = call.func
-        if not isinstance(func, ast.Attribute) or func.attr not in self._SCHED:
-            return None
-        receiver = _dotted(func.value)
-        if receiver is None:
-            return None
-        if receiver.split(".")[-1].lstrip("_") != "sim":
-            return None
-        cheap = self._SCHED[func.attr]
-        return RawFinding(
-            call.lineno, call.col_offset,
-            f"{receiver}.{func.attr}(...) with the Event handle discarded "
-            "allocates a cancellable Event that nothing can cancel; use "
-            f"{receiver}.{cheap}(...) (fire-and-forget 4-tuple, identical "
-            "ordering) or keep the handle if cancellation is the point",
-        )
-
-    @staticmethod
-    def _is_packet_ctor(node: ast.Call) -> bool:
-        target = _dotted(node.func)
-        return target is not None and (
-            target == "Packet" or target.endswith(".Packet"))
-
-
 #: The registry, in rule-code order.  Engine and CLI both consume this.
 RULES: Tuple[Rule, ...] = (
     HashBuiltinRule(),
@@ -588,7 +510,6 @@ RULES: Tuple[Rule, ...] = (
     MutableDefaultRule(),
     SwallowedExceptionRule(),
     HotPathCodecRule(),
-    BurstBypassRule(),
 )
 
 #: Lookup by code or slug (both accepted in --select and suppressions).

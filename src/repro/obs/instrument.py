@@ -22,7 +22,7 @@ cache losslessly.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from ..core.header import RegularHeader, RequestHeader
 from .metrics import Counter, MetricRegistry, MetricValue
@@ -81,7 +81,6 @@ class Observation:
         self.interval = interval
         self.registry = MetricRegistry()
         self.sampler: Optional[Sampler] = None
-        self._links: List["Link"] = []
 
     # ------------------------------------------------------------------
     def install(
@@ -113,15 +112,7 @@ class Observation:
             for name, counter in injector.metric_items():
                 self.registry.register(f"faults.{name}", counter)
         self.instrument_hosts(net)
-        self.sampler = Sampler(
-            sim, self.registry, self.interval, before=self._settle_links
-        )
-
-    def _settle_links(self) -> None:
-        """Replay instrumented links' lazy burst dequeues so every gauge
-        about to be read (tx counters, backlogs) is exact as of now."""
-        for link in self._links:
-            link.settle()
+        self.sampler = Sampler(sim, self.registry, self.interval)
 
     # ------------------------------------------------------------------
     def instrument_hosts(self, net: "Dumbbell") -> None:
@@ -157,10 +148,6 @@ class Observation:
         prefix = f"link.{label}"
         self.registry.register_many(prefix, link.metric_counters())
         link.classify = traffic_class
-        # Gauges read this link's raw tx counters and qdisc backlogs, so
-        # the sampler settles it (replaying the lazy burst dequeues) right
-        # before every read — see _settle_links.
-        self._links.append(link)
         scale = 8.0 / (link.bandwidth_bps * self.interval)
         self.registry.gauge(
             f"{prefix}.util", _rate_gauge(link.tx_bytes_counter, scale)
@@ -191,7 +178,6 @@ class Observation:
         the partial interval since the last tick, which is still fully
         deterministic.
         """
-        self._settle_links()
         finals: Dict[str, MetricValue] = self.registry.sample()
         series = self.sampler.series() if self.sampler is not None else {}
         return {

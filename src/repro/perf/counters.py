@@ -37,8 +37,6 @@ FIELDS = (
     "dequeues",
     "valcache_hits",
     "valcache_misses",
-    "bursts_planned",
-    "pool_reuses",
 )
 
 
@@ -52,9 +50,7 @@ class PerfCounters:
     heap rebuilds; ``enqueues`` / ``dequeues`` — qdisc accounting ops
     (hierarchical disciplines count once per level, by design);
     ``valcache_hits`` / ``valcache_misses`` — the Table 1
-    capability-validation cache; ``bursts_planned`` — multi-packet
-    transmission bursts committed by links; ``pool_reuses`` — packet
-    allocations served from a simulator's free list.
+    capability-validation cache.
     """
 
     __slots__ = FIELDS

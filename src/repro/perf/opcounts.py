@@ -35,8 +35,12 @@ class OpCounts:
     dequeues: int = 0
     valcache_hits: int = 0
     valcache_misses: int = 0
-    bursts_planned: int = 0
-    pool_reuses: int = 0
+
+    # Always 0, and class attributes rather than fields so they are never
+    # exported: kept readable because perfbench/measure.py still reports
+    # them as sim.link.bursts_planned and sim.packet.pool_reuses.
+    bursts_planned = 0
+    pool_reuses = 0
 
     def to_dict(self) -> Dict[str, int]:
         return {name: getattr(self, name) for name in FIELDS}

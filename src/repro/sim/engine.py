@@ -37,7 +37,7 @@ import itertools
 from typing import Any, Callable, List, Optional
 
 from ..perf.counters import PERF
-from .packet import Packet, PacketPool
+from .packet import Packet
 
 #: Compaction threshold, mirroring ``FlowStateTable``: never bother below
 #: this many heap entries, and above it rebuild once cancelled entries
@@ -114,11 +114,9 @@ class Simulator:
         self._cancelled_in_heap = 0
         self._running = False
         self._stopped = False
-        # Packet identity and recycling are simulator-owned: uids count
-        # from 1 per run (never from whatever earlier in-process runs
-        # left behind) and released packets are reused via the pool.
+        # Packet identity is simulator-owned: uids count from 1 per run,
+        # never from whatever earlier in-process runs left behind.
         self._packet_uid = itertools.count(1)
-        self._pool = PacketPool()
 
     # ------------------------------------------------------------------
     # Packet allocation
@@ -133,23 +131,13 @@ class Simulator:
         shim: Any = None,
         created: float = 0.0,
     ) -> Packet:
-        """Allocate a :class:`Packet` with a run-local uid, recycling a
-        released one when available.  The data path allocates through
-        this (not ``Packet(...)``) so uid sequences are identical across
-        back-to-back runs in one process and allocation churn is bounded
-        by the peak number of packets alive, not the total sent."""
-        pool = self._pool
-        if pool._free:
-            PERF.pool_reuses += 1
-        return pool.acquire(
-            next(self._packet_uid), src, dst, size, proto, tcp, shim, created
+        """Allocate a :class:`Packet` with a run-local uid.  The data path
+        allocates through this (not ``Packet(...)``) so uid sequences are
+        identical across back-to-back runs in one process."""
+        return Packet(
+            src, dst, size, proto, tcp, shim, created,
+            uid=next(self._packet_uid),
         )
-
-    def release_packet(self, pkt: Packet) -> None:
-        """Return a dead packet to the pool.  Only terminal owners call
-        this (see :class:`~repro.sim.packet.PacketPool` ownership rules);
-        not releasing is always safe, merely slower."""
-        self._pool.release(pkt)
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -183,10 +171,10 @@ class Simulator:
         """Fire-and-forget :meth:`after`: no :class:`Event` handle, so the
         callback can never be cancelled.
 
-        The per-packet path (link transmission completion, propagation
-        delivery) schedules two callbacks per packet and never cancels
-        either; skipping the Event allocation and its flag bookkeeping is
-        a measurable share of the event-loop cost.  Heap entries are
+        The per-packet path (flood ticks, link completions and
+        deliveries) schedules callbacks it never cancels; skipping the
+        Event allocation and its flag bookkeeping is a measurable share
+        of the event-loop cost.  Heap entries are
         ``(time, seq, fn, args)`` 4-tuples — ``seq`` is unique, so they
         order against the 3-tuple Event entries by (time, seq) exactly
         like everything else."""
@@ -202,10 +190,10 @@ class Simulator:
         """Fire-and-forget :meth:`at`: absolute-time twin of
         :meth:`call_after`.
 
-        Burst-batched links schedule per-packet deliveries at precomputed
-        absolute boundaries; going through ``call_after`` would round the
-        relative delay and shift timestamps by an ulp relative to the
-        reference one-event-per-packet schedule."""
+        Links compute each packet's boundaries once as absolute floats
+        (``end = now + tx_time``, delivery at ``end + delay``) and
+        schedule them as such; passing them back through ``call_after``
+        would re-round a relative delay."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule event at {time:.6f}, current time is {self.now:.6f}"

@@ -121,18 +121,12 @@ class Router(Node):
                 out_link = self.range_route(pkt.dst)
             if out_link is None:
                 self.dropped_no_route += 1
-                self.sim.release_packet(pkt)
                 return
         if self.processor is not None:
             if not self.processor.process(pkt, self, in_link, out_link):
                 self.dropped_by_processor += 1
-                self.sim.release_packet(pkt)
                 return
-        if not out_link.send(pkt):
-            # Dropped at the queue (or the link is down): every observer
-            # (drop hooks, fault counters) ran synchronously inside send,
-            # so the router is the packet's terminal owner.
-            self.sim.release_packet(pkt)
+        out_link.send(pkt)
 
 
 class Host(Node):
@@ -171,12 +165,8 @@ class Host(Node):
             out_link = self.links_out[0]  # default route over the uplink
         if out_link is None:
             self.dropped_no_route += 1
-            self.sim.release_packet(pkt)
             return False
-        if out_link.send(pkt):
-            return True
-        self.sim.release_packet(pkt)
-        return False
+        return out_link.send(pkt)
 
     def send_raw(self, pkt: Packet) -> bool:
         """Send bypassing the shim — used by attack agents that emit legacy
@@ -186,35 +176,24 @@ class Host(Node):
             out_link = self.links_out[0]
         if out_link is None:
             self.dropped_no_route += 1
-            self.sim.release_packet(pkt)
             return False
-        if out_link.send(pkt):
-            return True
-        self.sim.release_packet(pkt)
-        return False
+        return out_link.send(pkt)
 
     def receive(self, pkt: Packet, in_link: Optional[Link]) -> None:
         self.rx_packets += 1
         if pkt.dst != self.address:
             self.undeliverable += 1
-            self.sim.release_packet(pkt)
             return
         if self.shim is not None and not self.shim.on_receive(pkt):
-            # Control-only packet, consumed by the shim.  Shims read the
-            # capability payload synchronously and retain at most the
-            # header objects, never the packet.
-            self.sim.release_packet(pkt)
-            return
+            return  # control-only packet, consumed by the shim
         handler = self._dispatch(pkt)
         if handler is None:
             self.undeliverable += 1
             if self.shim is not None:
                 self.shim.on_unexpected(pkt)
-            self.sim.release_packet(pkt)
             return
         self.delivered += 1
         handler(pkt)
-        self.sim.release_packet(pkt)
 
     def _dispatch(self, pkt: Packet) -> Optional[Callable[[Packet], None]]:
         if pkt.tcp is not None:
@@ -326,15 +305,11 @@ class AggregateHost(Host):
         index = pkt.dst - self.address
         if not 0 <= index < self.count:
             self.undeliverable += 1
-            self.sim.release_packet(pkt)
             return
         shim = self.shim_for(index)
         if shim is not None and not shim.on_receive(pkt):
-            # Control-only packet, consumed by the member's shim.
-            self.sim.release_packet(pkt)
-            return
+            return  # control-only packet, consumed by the member's shim
         # Members bind no transports, exactly like expanded flood hosts.
         self.undeliverable += 1
         if shim is not None:
             shim.on_unexpected(pkt)
-        self.sim.release_packet(pkt)

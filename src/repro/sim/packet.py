@@ -14,7 +14,7 @@ because simulations create hundreds of thousands of them.
 from __future__ import annotations
 
 import itertools
-from typing import Any, List, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 #: Fallback uid source for packets built outside a simulator (unit tests,
 #: standalone tooling).  Simulation code allocates through
@@ -66,8 +66,6 @@ class Packet:
         "shim",
         "demoted",
         "created",
-        "pooled",
-        "in_pool",
     )
 
     def __init__(
@@ -92,10 +90,6 @@ class Packet:
         self.shim = shim
         self.demoted = False
         self.created = created
-        # ``pooled`` marks pool-eligible packets (allocated through a
-        # simulator); ``in_pool`` guards against double release.
-        self.pooled = False
-        self.in_pool = False
 
     @property
     def flow(self) -> Tuple[int, int]:
@@ -119,77 +113,3 @@ def shim_overhead(shim: Optional[Any]) -> int:
     """Header bytes charged for a capability shim (0 for legacy packets)."""
     return CAPABILITY_HEADER if shim is not None else 0
 
-
-class PacketPool:
-    """Free-list recycling of :class:`Packet` objects, one pool per
-    :class:`~repro.sim.engine.Simulator`.
-
-    Ownership rules (see DESIGN.md "Fast path & perf budget"):
-
-    * A packet has exactly one owner at a time: the agent that allocated
-      it, then the link/qdisc holding it, then the receiving node.
-    * Only the terminal owner releases — a host after transport dispatch,
-      a router when the forward failed (processor verdict, no route, or
-      ``link.send()`` returning ``False``).  Queued and in-flight packets
-      are never released.
-    * Hooks observing a packet (``drop_hook``, ``mark_hook``, classify)
-      run synchronously before release and must not retain it.
-
-    Releasing is optional: an unreleased packet is garbage-collected as
-    before, the pool just loses the reuse.  Double-release is a hard
-    error because a recycled packet with two owners corrupts simulation
-    state invisibly.
-    """
-
-    __slots__ = ("_free",)
-
-    def __init__(self) -> None:
-        self._free: List[Packet] = []
-
-    def acquire(
-        self,
-        uid: int,
-        src: int,
-        dst: int,
-        size: int,
-        proto: str = "raw",
-        tcp: Any = None,
-        shim: Any = None,
-        created: float = 0.0,
-    ) -> Packet:
-        if size <= 0:
-            raise ValueError(f"packet size must be positive, got {size}")
-        if self._free:
-            pkt = self._free.pop()
-            pkt.uid = uid
-            pkt.src = src
-            pkt.dst = dst
-            pkt.size = size
-            pkt.proto = proto
-            pkt.tcp = tcp
-            pkt.shim = shim
-            pkt.demoted = False
-            pkt.created = created
-            pkt.in_pool = False
-            return pkt
-        # repro: allow-p002 — the pool's own miss branch; uid is caller-supplied
-        pkt = Packet(src, dst, size, proto, tcp, shim, created, uid=uid)
-        pkt.pooled = True
-        return pkt
-
-    def release(self, pkt: Packet) -> None:
-        """Recycle ``pkt`` if this pool owns its lifecycle.
-
-        Packets built directly via ``Packet(...)`` (tests, tools) are not
-        ``pooled`` and pass through untouched — callers on the data path
-        can therefore release unconditionally."""
-        if not pkt.pooled:
-            return
-        if pkt.in_pool:
-            raise ValueError(f"double release of {pkt!r}")
-        pkt.in_pool = True
-        # Drop payload references now so recycled packets never keep TCP
-        # segments or capability headers alive across reuse.
-        pkt.tcp = None
-        pkt.shim = None
-        self._free.append(pkt)

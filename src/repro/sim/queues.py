@@ -63,45 +63,6 @@ class Qdisc:
         #: per-enqueue cost when unset is a single attribute test.
         self.mark_threshold_bytes: Optional[int] = None
         self.mark_hook: Optional[Callable[[Packet], None]] = None
-        #: Set by :class:`PriorityScheduler` when, during a committed link
-        #: burst, a packet is enqueued into a class with higher priority
-        #: than the burst's serving class.  The link checks it after every
-        #: enqueue and aborts the uncommitted tail of the burst, because
-        #: the reference (one-dequeue-per-packet) schedule would have
-        #: served the higher class first.  Plain disciplines never set it.
-        self.burst_preempted = False
-
-    # -- burst planning --------------------------------------------------
-    def plan_burst(
-        self, now: float, max_pkts: int, max_bytes: int
-    ) -> Optional[List[Packet]]:
-        """Peek a committed run of packets a link may transmit back to back.
-
-        Returns the exact sequence the reference one-dequeue-per-packet
-        schedule would produce over the burst window *regardless of any
-        arrivals during it*, or ``None`` when no arrival-insensitive run
-        exists (rate-limited head, unsupported discipline) — the link then
-        falls back to single-packet service.  The plan must not mutate
-        any state: the link replays real ``dequeue`` calls lazily at each
-        packet's transmission-start time (see ``Link._settle``), so
-        backlog accounting, drop decisions, and hooks observe byte-
-        identical queue state at every event.
-        """
-        return None
-
-    def end_burst(self) -> None:
-        """Forget burst bookkeeping (serving class, preemption flag).
-        Called by the link when a burst completes, aborts, or drains."""
-        self.burst_preempted = False
-
-    def settle_dequeue(self, now: float) -> Optional[Packet]:
-        """Dequeue during a burst settle replay (see ``Link._settle``).
-
-        Semantically identical to :meth:`dequeue` — hierarchical
-        disciplines override it with a shortcut that is state-identical
-        while a burst is armed (the settle loop's identity assertion
-        backstops the equivalence)."""
-        return self.dequeue(now)
 
     @property
     def drops(self) -> int:
@@ -235,27 +196,6 @@ class DropTailQueue(Qdisc):
         PERF.dequeues += 1
         return pkt
 
-    # Settle replays need no shortcut here; skip the base-class wrapper.
-    settle_dequeue = dequeue
-
-    def plan_burst(
-        self, now: float, max_pkts: int, max_bytes: int
-    ) -> Optional[List[Packet]]:
-        # FIFO: arrivals append, so any prefix of the current queue is a
-        # committed run.  The budget caps burst length; the head always
-        # qualifies (a budget can bound, never block).
-        queue = self._queue
-        if not queue:
-            return None
-        plan: List[Packet] = []
-        total = 0
-        for pkt in queue:
-            total += pkt.size
-            if plan and (len(plan) >= max_pkts or total > max_bytes):
-                break
-            plan.append(pkt)
-        return plan
-
     def drain(self) -> List[Packet]:
         drained = list(self._queue)
         self._queue.clear()
@@ -300,11 +240,6 @@ class DRRFairQueue(Qdisc):
         # the current round visit; without this flag a queue would be
         # topped up on every dequeue and monopolize the scheduler.
         self._topped: Dict[Hashable, bool] = {}
-        # While a committed link burst serves the scheduler's single
-        # active key, the arrival of any *other* key preempts the burst
-        # (round-robin would interleave the new key).  None = no armed
-        # burst.
-        self._burst_key: Optional[Hashable] = None
 
     @property
     def active_queues(self) -> int:
@@ -332,10 +267,6 @@ class DRRFairQueue(Qdisc):
             self._deficit[key] = 0
             self._topped[key] = False
             self._round.append(key)
-            if self._burst_key is not None:
-                # A second key joined mid-burst: the remaining committed
-                # packets of the old sole key must yield to round robin.
-                self.burst_preempted = True
         elif self._bytes[key] + pkt.size > self.limit_bytes_per_queue:
             self._account_drop(pkt, "overflow")
             return False
@@ -398,72 +329,6 @@ class DRRFairQueue(Qdisc):
             if not queue:
                 self._retire(key)
             return head
-
-    # Settle replays need no shortcut here; skip the base-class wrapper.
-    settle_dequeue = dequeue
-
-    def plan_burst(
-        self, now: float, max_pkts: int, max_bytes: int
-    ) -> Optional[List[Packet]]:
-        if not self.backlog_pkts:
-            return None
-        round_ = self._round
-        if len(round_) == 1:
-            # A single active key degenerates to FIFO: each dequeue tops
-            # the deficit up (as many round wraps as it takes) until the
-            # head is covered, so service order is exactly queue order.
-            # Any budget-bounded prefix is a committed run; the arrival
-            # of a *different* key preempts it (see enqueue).
-            key = round_[0]
-            queue = self._queues[key]
-            plan: List[Packet] = []
-            total = 0
-            for pkt in queue:
-                total += pkt.size
-                if plan and (len(plan) >= max_pkts or total > max_bytes):
-                    break
-                plan.append(pkt)
-            if not plan:
-                return None
-            self._burst_key = key
-            self.burst_preempted = False
-            return plan
-        # Several active keys: commit the head-of-round key's service run
-        # as far as a single deficit top-up carries it.  Arrivals cannot
-        # disturb this prefix — new keys append to the *end* of the
-        # round, packets for the serving key append behind the committed
-        # ones, and the top-up itself happens deterministically at the
-        # first dequeue.  Beyond one top-up the reference schedule
-        # interleaves the other keys, so the plan stops there and the
-        # link falls back to per-packet service for the remainder.
-        idx = self._round_idx
-        if idx >= len(round_):
-            idx = 0
-        key = round_[idx]
-        queue = self._queues[key]
-        if not queue:
-            # Registered queues are nonempty outside dequeue by invariant;
-            # if one shows up empty, let the reference path retire it.
-            return None
-        deficit = self._deficit[key]
-        if not self._topped[key]:
-            deficit += self.quantum
-        plan = []
-        total = 0
-        for pkt in queue:
-            size = pkt.size
-            if deficit < size:
-                break
-            total += size
-            if plan and (len(plan) >= max_pkts or total > max_bytes):
-                break
-            deficit -= size
-            plan.append(pkt)
-        return plan or None
-
-    def end_burst(self) -> None:
-        self.burst_preempted = False
-        self._burst_key = None
 
     def drain(self) -> List[Packet]:
         # Round order is the deterministic service order, so draining in it
@@ -631,17 +496,13 @@ class PriorityScheduler(Qdisc):
             bucket = entry[2] if len(entry) > 2 else None
             self._classes.append((classifier, qdisc, bucket))
             self._deferred.append(None)
-        # Class index a committed link burst is serving, or None.  While
-        # set, an enqueue into a strictly higher-priority class raises
-        # ``burst_preempted`` so the link can abort the uncommitted tail.
-        self._burst_serving: Optional[int] = None
 
     @property
     def children(self) -> List[Qdisc]:
         return [qdisc for _, qdisc, _ in self._classes]
 
     def enqueue(self, pkt: Packet) -> bool:
-        for idx, (classifier, qdisc, _) in enumerate(self._classes):
+        for classifier, qdisc, _ in self._classes:
             if classifier(pkt):
                 ok = qdisc.enqueue(pkt)
                 if ok:
@@ -655,14 +516,6 @@ class PriorityScheduler(Qdisc):
                         and self.backlog_bytes >= self.mark_threshold_bytes
                     ):
                         self.mark_hook(pkt)
-                    serving = self._burst_serving
-                    if serving is not None:
-                        if idx < serving:
-                            self.burst_preempted = True
-                        elif idx == serving and qdisc.burst_preempted:
-                            # The serving child itself aborted (e.g. a new
-                            # DRR key): surface it at the link's qdisc.
-                            self.burst_preempted = True
                 else:
                     # The child already accounted the drop in its own
                     # counters (and fired any drop_hook of its own); the
@@ -703,61 +556,6 @@ class PriorityScheduler(Qdisc):
             # Not enough tokens yet; park the head and let a lower class go.
             self._deferred[idx] = pkt
         return None
-
-    def plan_burst(
-        self, now: float, max_pkts: int, max_bytes: int
-    ) -> Optional[List[Packet]]:
-        # A burst is only committed when the serving class is the first
-        # backlogged one AND has no token bucket: bucketed classes refill
-        # continuously, so their reference schedule depends on the exact
-        # dequeue times, and a parked (deferred) head anywhere means the
-        # per-dequeue bucket probes themselves are load-bearing.  In all
-        # of those cases the link falls back to single-packet service,
-        # which *is* the reference.  Preemption by a higher class arriving
-        # mid-burst is handled via ``burst_preempted`` (see enqueue).
-        if not self.backlog_pkts:
-            return None
-        for idx, (_, qdisc, bucket) in enumerate(self._classes):
-            if self._deferred[idx] is not None:
-                return None
-            if not qdisc.backlog_pkts:
-                continue
-            if bucket is not None:
-                return None
-            plan = qdisc.plan_burst(now, max_pkts, max_bytes)
-            if plan:
-                self._burst_serving = idx
-                self.burst_preempted = False
-            return plan
-        return None
-
-    def end_burst(self) -> None:
-        self.burst_preempted = False
-        serving = self._burst_serving
-        if serving is not None:
-            # Only the serving child can hold burst state — plan_burst
-            # arms exactly one class per committed plan.
-            self._burst_serving = None
-            self._classes[serving][1].end_burst()
-
-    def settle_dequeue(self, now: float) -> Optional[Packet]:
-        # While a burst is armed, every class above the serving one is
-        # provably empty: plan_burst required it at commit, and an arrival
-        # into a higher class flags burst_preempted, which makes the link
-        # abort the uncommitted tail *within that same enqueue event* —
-        # before any further settle replay.  Dequeue therefore goes
-        # straight to the serving child; the skipped higher-class probes
-        # are all state-free no-ops on empty disciplines (a bucket is only
-        # consulted when its class has a head packet).
-        serving = self._burst_serving
-        if serving is None:
-            return self.dequeue(now)
-        pkt = self._classes[serving][1].settle_dequeue(now)
-        if pkt is not None:
-            self.backlog_bytes -= pkt.size
-            self.backlog_pkts -= 1
-            PERF.dequeues += 1
-        return pkt
 
     def drain(self) -> List[Packet]:
         # Parked heads left the child on dequeue but are still in this

@@ -126,6 +126,19 @@ class TestConfigRoundTrip:
         assert ExperimentConfig(server_grant=[1000, 5]) == \
             ExperimentConfig(server_grant=(1000, 5))
 
+    def test_retired_engine_knob_is_rejected(self):
+        # Older sweep manifests may still carry the removed "engine"
+        # knob; loading one must fail loudly, never drop it silently.
+        from repro.eval.runner import ScenarioSpec
+
+        config = dict(ExperimentConfig().to_dict(), engine="fast")
+        with pytest.raises(TypeError, match="engine"):
+            ExperimentConfig.from_dict(config)
+        spec = ScenarioSpec("tva", "legacy", 1).to_dict()
+        spec["config"]["engine"] = "fast"
+        with pytest.raises(TypeError, match="engine"):
+            ScenarioSpec.from_dict(spec)
+
     def test_flood_result_round_trips(self):
         import json
 

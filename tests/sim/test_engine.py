@@ -164,6 +164,24 @@ def test_run_is_not_reentrant():
     sim.run()
 
 
+def test_callback_exception_keeps_counts():
+    sim = Simulator()
+    sim.after(1.0, lambda: None)
+
+    def boom():
+        raise ValueError("boom")
+
+    sim.after(2.0, boom)
+    sim.after(3.0, lambda: None)
+    with pytest.raises(ValueError, match="boom"):
+        sim.run()
+    assert sim.events_processed == 1
+    assert sim.now == 2.0
+    assert sim.pending == 1
+    # The engine is reusable after the error.
+    assert sim.run() == 1
+
+
 class TestPendingCounter:
     """`Simulator.pending` is a live counter, not a heap scan."""
 
@@ -308,3 +326,17 @@ class TestCallAfter:
         sim.run()
         assert sim.pending == 0
         assert sim.events_processed == 1
+
+    def test_call_at_orders_with_other_entries(self):
+        sim = Simulator()
+        seen = []
+        sim.after(1.0, seen.append, "a")
+        sim.call_after(1.0, seen.append, "b")
+        sim.call_at(1.0, seen.append, "c")
+        sim.after(2.0, seen.append, "d")
+        assert sim.run(until=1.5) == 3
+        assert seen == ["a", "b", "c"]
+        assert sim.now == 1.5
+        assert sim.pending == 1
+        with pytest.raises(SimulationError):
+            sim.call_at(1.0, seen.append, "late")
