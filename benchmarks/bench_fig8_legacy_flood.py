@@ -10,7 +10,7 @@ legacy Internet's completion fraction "quickly approaches zero".
 
 from conftest import DURATION, SWEEP, print_flood_table, sweep_rows
 
-from repro.eval import ExperimentConfig, SweepRunner, build_flood_specs
+from repro.api import ExperimentConfig, SweepRunner, build_flood_specs
 
 
 def _sweep(scheme):

@@ -13,7 +13,7 @@ import time
 
 from conftest import FULL
 
-from repro.eval import ExperimentConfig, SweepRunner, build_flood_specs
+from repro.api import ExperimentConfig, SweepRunner, build_flood_specs
 
 #: A fixed, moderate workload: enough points to keep every core busy.
 DURATION = 10.0 if FULL else 5.0
@@ -68,7 +68,7 @@ def test_parallel_speedup(benchmark):
 
 def test_warm_cache_is_near_instant(benchmark, tmp_path):
     """A second run over a warm cache must cost <10% of the cold run."""
-    from repro.eval import ResultCache
+    from repro.api import ResultCache
 
     cache = ResultCache(tmp_path)
     runner = SweepRunner(jobs=1, cache=cache)

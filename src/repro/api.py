@@ -16,8 +16,8 @@ Three entry points cover the common workflows:
 Everything re-exported here is covered by the deprecation policy: names
 may gain parameters but won't move or vanish without a deprecation cycle.
 The deep module paths (``repro.eval.runner`` etc.) remain importable but
-are implementation detail; the old ``repro.eval`` re-exports of this
-surface emit :class:`DeprecationWarning`.
+are implementation detail.  ``repro.eval`` re-exports only the figure
+harnesses, not this surface.
 """
 
 from __future__ import annotations

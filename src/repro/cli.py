@@ -376,10 +376,8 @@ def _cmd_lint(args) -> int:
 
     from .lint import (
         Baseline,
-        IncrementalCache,
         LintEngine,
         LintError,
-        default_cache_path,
         mark_baselined,
         render_github,
         render_json,
@@ -392,14 +390,9 @@ def _cmd_lint(args) -> int:
     if args.select:
         select = [token.strip() for token in args.select.split(",")
                   if token.strip()]
-    cache = None
-    if not args.no_incremental:
-        cache_file = Path(args.cache_file) if args.cache_file \
-            else default_cache_path()
-        cache = IncrementalCache(cache_file)
     exclude = [Path(p) for p in args.exclude] if args.exclude else None
     try:
-        engine = LintEngine(select=select, cache=cache, exclude=exclude)
+        engine = LintEngine(select=select, exclude=exclude)
         findings, files_scanned = engine.lint_paths(paths)
     except LintError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -866,13 +859,6 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--show-suppressed", action="store_true",
                     help="also list suppressed/baselined findings in text "
                          "output")
-    pl.add_argument("--no-incremental", action="store_true",
-                    help="disable the per-file result cache (always do a "
-                         "cold scan)")
-    pl.add_argument("--cache-file", default=None, metavar="PATH",
-                    help="incremental cache location (default: "
-                         "$REPRO_CACHE_DIR or ~/.cache/repro/"
-                         "lint-cache.json)")
     pl.set_defaults(fn=_cmd_lint)
 
     pb = sub.add_parser(

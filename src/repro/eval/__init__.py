@@ -19,14 +19,11 @@
 * :mod:`repro.eval.dynamics` — the network-dynamics experiment: recovery
   after router reboots, driven by :mod:`repro.faults`.
 
-Deprecation note: the scenario-running surface (`ScenarioSpec`,
-`SweepRunner`, `run_spec`, caches, results, spec builders) moved to the
-stable :mod:`repro.api` facade.  Importing those names from here still
-works but emits :class:`DeprecationWarning`; new code should use
-``from repro.api import ...``.
+The scenario-running surface (``ScenarioSpec``, ``SweepRunner``,
+``run_spec``, caches, results, spec builders) is served by the stable
+:mod:`repro.api` facade, or by the submodules above; this package
+re-exports only the figure harnesses and the processing benchmarks.
 """
-
-import warnings
 
 from .experiments import (
     DEFAULT_SWEEP,
@@ -50,67 +47,22 @@ from .procbench import (
     measure_processing_costs,
 )
 
-#: Runner-surface names now served lazily with a DeprecationWarning;
-#: the values map old attribute -> (module, attribute).
-_DEPRECATED = {
-    "ScenarioSpec": ("repro.eval.runner", "ScenarioSpec"),
-    "SweepRunner": ("repro.eval.runner", "SweepRunner"),
-    "run_spec": ("repro.eval.runner", "run_spec"),
-    "build_flood_specs": ("repro.eval.runner", "build_flood_specs"),
-    "build_fig11_spec": ("repro.eval.runner", "build_fig11_spec"),
-    "RunResult": ("repro.eval.results", "RunResult"),
-    "PointResult": ("repro.eval.results", "PointResult"),
-    "SweepResult": ("repro.eval.results", "SweepResult"),
-    "ResultCache": ("repro.eval.cache", "ResultCache"),
-    "default_cache_dir": ("repro.eval.cache", "default_cache_dir"),
-    "make_scheme": ("repro.eval.experiments", "make_scheme"),
-}
-
-
-def __getattr__(name: str):
-    target = _DEPRECATED.get(name)
-    if target is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module_name, attr = target
-    warnings.warn(
-        f"importing {name} from repro.eval is deprecated; "
-        f"use repro.api.{attr} instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    import importlib
-
-    # Deliberately not cached on the module: every deep import should warn.
-    return getattr(importlib.import_module(module_name), attr)
-
-
 __all__ = [
     "DEFAULT_SWEEP",
     "ExperimentConfig",
     "Fig11Result",
     "FloodResult",
     "PACKET_KINDS",
-    "PointResult",
     "ProcessingCost",
-    "ResultCache",
     "RouterWorkbench",
-    "RunResult",
     "SCHEMES",
-    "ScenarioSpec",
-    "SweepResult",
-    "SweepRunner",
-    "build_fig11_spec",
-    "build_flood_specs",
-    "default_cache_dir",
     "format_flood_table",
     "format_table1",
     "forwarding_rate_curve",
-    "make_scheme",
     "measure_processing_costs",
     "run_fig10_colluder_flood",
     "run_fig11_imprecise",
     "run_fig8_legacy_flood",
     "run_fig9_request_flood",
     "run_flood_scenario",
-    "run_spec",
 ]

@@ -17,7 +17,6 @@ per user); the *shape* of every curve is preserved.  Pass a larger
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -146,58 +145,6 @@ def _scheme_kwargs(
     return kwargs
 
 
-def _make_scheme(
-    name: str,
-    config: ExperimentConfig,
-    destination_policy: Optional[Callable] = None,
-    siff_secret_period: Optional[float] = None,
-    siff_accept_previous: bool = True,
-    siff_mark_bits: int = 2,
-    scheme_options: Optional[Dict] = None,
-):
-    return build_scheme(
-        name,
-        **_scheme_kwargs(
-            name,
-            config,
-            destination_policy=destination_policy,
-            siff_secret_period=siff_secret_period,
-            siff_accept_previous=siff_accept_previous,
-            siff_mark_bits=siff_mark_bits,
-            scheme_options=scheme_options,
-        ),
-    )
-
-
-def make_scheme(
-    name: str,
-    config: ExperimentConfig,
-    destination_policy: Optional[Callable] = None,
-    siff_secret_period: Optional[float] = None,
-    siff_accept_previous: bool = True,
-    siff_mark_bits: int = 2,
-):
-    """Deprecated: use :func:`repro.api.build_scheme` (the registry) instead.
-
-    This wrapper keeps the historical signature working; it translates the
-    ExperimentConfig-shaped arguments onto the registry factories.
-    """
-    warnings.warn(
-        "repro.eval.experiments.make_scheme is deprecated; "
-        "use repro.api.build_scheme instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _make_scheme(
-        name,
-        config,
-        destination_policy=destination_policy,
-        siff_secret_period=siff_secret_period,
-        siff_accept_previous=siff_accept_previous,
-        siff_mark_bits=siff_mark_bits,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Core scenario runner
 # ---------------------------------------------------------------------------
@@ -256,14 +203,17 @@ def run_flood_scenario(
     """
     config = config or ExperimentConfig()
     sim = Simulator()
-    scheme = _make_scheme(
+    scheme = build_scheme(
         scheme_name,
-        config,
-        destination_policy=destination_policy,
-        siff_secret_period=siff_secret_period,
-        siff_accept_previous=siff_accept_previous,
-        siff_mark_bits=siff_mark_bits,
-        scheme_options=scheme_options,
+        **_scheme_kwargs(
+            scheme_name,
+            config,
+            destination_policy=destination_policy,
+            siff_secret_period=siff_secret_period,
+            siff_accept_previous=siff_accept_previous,
+            siff_mark_bits=siff_mark_bits,
+            scheme_options=scheme_options,
+        ),
     )
     if topology is None:
         topology = dumbbell_spec(

@@ -206,7 +206,7 @@ def _policy_factory(spec: ScenarioSpec) -> Optional[Callable]:
     never cross the process boundary.
     """
     if spec.policy == "server":
-        return None  # make_scheme falls back to the default ServerPolicy
+        return None  # the scheme falls back to its default ServerPolicy
     from ..core import FilteringPolicy, OraclePolicy, ServerPolicy
     from ..core.params import DEFAULT_GRANT_BYTES, DEFAULT_GRANT_SECONDS
 

@@ -30,28 +30,24 @@ Run it as ``repro lint`` (text, ``--format json``, ``--format github``,
 ``--baseline`` support), from Python via :func:`lint_paths`, or rely on
 the CI gate — ``tests/lint/test_self_clean.py`` keeps ``src/repro`` at
 zero unsuppressed findings.  Deliberate exceptions carry an inline
-``# repro: allow-<slug>`` with a one-line justification.  Warm runs are
-incremental: pass-1 results are cached per file by content sha256 and
-invalidated wholesale when the rule set changes.
+``# repro: allow-<slug>`` with a one-line justification.  Every run
+parses every file: the report depends only on the paths and the root.
 """
 
 from .baseline import Baseline, fingerprints_for
 from .engine import (
     ALL_RULES as RULES,
     ALL_RULES_BY_KEY as RULES_BY_KEY,
+    FILE_RULES,
     Finding,
-    IncrementalCache,
     LintEngine,
     LintError,
-    default_cache_path,
     infer_module,
     lint_paths,
     mark_baselined,
-    ruleset_fingerprint,
 )
-from .project import PROJECT_RULES, Project, ProjectRule, RULESET_VERSION
+from .project import PROJECT_RULES, Project, ProjectRule
 from .report import render_github, render_json, render_text, summarize
-from .rules import RULES as FILE_RULES
 from .rules import FileContext, Rule, SIM_MODULES
 from .symbols import ClassFacts, MethodFacts, ModuleFacts, collect_facts
 
@@ -61,7 +57,6 @@ __all__ = [
     "FILE_RULES",
     "FileContext",
     "Finding",
-    "IncrementalCache",
     "LintEngine",
     "LintError",
     "MethodFacts",
@@ -70,12 +65,10 @@ __all__ = [
     "Project",
     "ProjectRule",
     "RULES",
-    "RULESET_VERSION",
     "RULES_BY_KEY",
     "Rule",
     "SIM_MODULES",
     "collect_facts",
-    "default_cache_path",
     "fingerprints_for",
     "infer_module",
     "lint_paths",
@@ -83,6 +76,5 @@ __all__ = [
     "render_github",
     "render_json",
     "render_text",
-    "ruleset_fingerprint",
     "summarize",
 ]

@@ -1,6 +1,8 @@
-"""Intra-procedural dataflow analyses for the project-wide lint pass.
+"""Intra-procedural dataflow analyses, run as per-file lint rules.
 
-Two analyses live here, both pure functions over an :mod:`ast` tree:
+Two analyses live here, both pure functions over an :mod:`ast` tree,
+each wrapped as a :class:`~repro.lint.rules.Rule` in
+:data:`DATAFLOW_RULES`:
 
 * :func:`rng_provenance` (rule **D006**) — flags ``random.Random(...)``
   constructions whose seed expression does not derive from a function
@@ -24,9 +26,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
-from .rules import RawFinding, _dotted, _imported_names
+from .rules import FileContext, RawFinding, Rule, _dotted, _imported_names
 
-__all__ = ["rng_provenance", "pool_picklability"]
+__all__ = ["DATAFLOW_RULES", "rng_provenance", "pool_picklability"]
 
 _SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
@@ -427,3 +429,43 @@ def pool_picklability(tree: ast.Module) -> List[RawFinding]:
     _pool_check_scope(tree, ctor_names, import_roots, findings)
     findings.sort(key=lambda f: (f.line, f.col))
     return findings
+
+
+class RngProvenanceRule(Rule):
+    """D006 — RNG seeds must derive from parameters or spec attributes.
+
+    See :func:`rng_provenance`.
+    """
+
+    code = "D006"
+    name = "rng-provenance"
+    summary = "RNG seed does not derive from a parameter or spec attribute"
+    motivation = ("a literal-seeded Random() deep in a helper decouples "
+                  "results from ScenarioSpec.seed; module-global RNGs "
+                  "couple runs sharing an interpreter")
+
+    def check(self, tree: ast.AST, ctx: FileContext) -> Iterator[RawFinding]:
+        return iter(rng_provenance(tree))
+
+
+class PoolPicklabilityRule(Rule):
+    """X001 — only module-level callables cross the process boundary.
+
+    See :func:`pool_picklability`.
+    """
+
+    code = "X001"
+    name = "pool-picklability"
+    summary = "unpicklable callable passed to ProcessPoolExecutor"
+    motivation = ("SweepRunner/SweepService fan work out through "
+                  "ProcessPoolExecutor; a lambda or bound method dies "
+                  "inside the pool with an opaque PicklingError")
+
+    def check(self, tree: ast.AST, ctx: FileContext) -> Iterator[RawFinding]:
+        return iter(pool_picklability(tree))
+
+
+DATAFLOW_RULES: Tuple[Rule, ...] = (
+    RngProvenanceRule(),
+    PoolPicklabilityRule(),
+)

@@ -25,13 +25,7 @@ __all__ = [
     "PROJECT_RULES",
     "Project",
     "ProjectRule",
-    "RULESET_VERSION",
 ]
-
-#: Bump when any rule's detection logic changes — part of the
-#: incremental-cache fingerprint, so stale cached findings can never
-#: survive a rule upgrade.
-RULESET_VERSION = 1
 
 #: A project finding is a per-file finding plus the file it lands in.
 ProjectHit = Tuple[str, RawFinding]
@@ -419,52 +413,8 @@ class ApiExportsRule(ProjectRule):
         return origin
 
 
-class RngProvenanceRule(ProjectRule):
-    """D006 — RNG seeds must derive from parameters or spec attributes.
-
-    See :func:`repro.lint.dataflow.rng_provenance`.  The analysis runs
-    in pass 1 (it is per-file); this rule replays the stored findings
-    so they participate in selection, suppression, and caching like any
-    other rule.
-    """
-
-    code = "D006"
-    name = "rng-provenance"
-    summary = "RNG seed does not derive from a parameter or spec attribute"
-    motivation = ("a literal-seeded Random() deep in a helper decouples "
-                  "results from ScenarioSpec.seed; module-global RNGs "
-                  "couple runs sharing an interpreter")
-
-    def check_project(self, project: Project) -> Iterator[ProjectHit]:
-        for mf in project.modules():
-            for line, col, message in mf.local_findings.get("D006", []):
-                yield mf.path, RawFinding(int(line), int(col), str(message))
-
-
-class PoolPicklabilityRule(ProjectRule):
-    """X001 — only module-level callables cross the process boundary.
-
-    See :func:`repro.lint.dataflow.pool_picklability`.  Like D006, the
-    analysis runs in pass 1 and is replayed here.
-    """
-
-    code = "X001"
-    name = "pool-picklability"
-    summary = "unpicklable callable passed to ProcessPoolExecutor"
-    motivation = ("SweepRunner/SweepService fan work out through "
-                  "ProcessPoolExecutor; a lambda or bound method dies "
-                  "inside the pool with an opaque PicklingError")
-
-    def check_project(self, project: Project) -> Iterator[ProjectHit]:
-        for mf in project.modules():
-            for line, col, message in mf.local_findings.get("X001", []):
-                yield mf.path, RawFinding(int(line), int(col), str(message))
-
-
 PROJECT_RULES: Tuple[ProjectRule, ...] = (
     CacheKeyFieldsRule(),
     SchemeProtocolRule(),
     ApiExportsRule(),
-    RngProvenanceRule(),
-    PoolPicklabilityRule(),
 )

@@ -501,7 +501,8 @@ class HotPathCodecRule(Rule):
                 and node.func.id in imported)
 
 
-#: The registry, in rule-code order.  Engine and CLI both consume this.
+#: The syntactic per-file rules, in rule-code order.  The engine adds
+#: the dataflow and project rules to form the full registry.
 RULES: Tuple[Rule, ...] = (
     HashBuiltinRule(),
     UnorderedIterRule(),
@@ -511,9 +512,3 @@ RULES: Tuple[Rule, ...] = (
     SwallowedExceptionRule(),
     HotPathCodecRule(),
 )
-
-#: Lookup by code or slug (both accepted in --select and suppressions).
-RULES_BY_KEY: Dict[str, Rule] = {}
-for _rule in RULES:
-    RULES_BY_KEY[_rule.code] = _rule
-    RULES_BY_KEY[_rule.name] = _rule

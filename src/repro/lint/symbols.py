@@ -1,20 +1,17 @@
 """Per-module fact extraction for the project-wide lint pass.
 
 Pass 1 of the project analyzer parses each file once and boils it down
-to a :class:`ModuleFacts` — a small, JSON-serializable summary of what
-the cross-module rules in :mod:`repro.lint.project` need: dataclass
-fields, method mention-sets, ``@register_scheme`` registrations,
-import/re-export edges, and ``__all__`` contents.  Facts are cheap to
-cache (they round-trip through :meth:`ModuleFacts.to_dict`), which is
-what makes the warm incremental run fast: an unchanged file contributes
-its cached facts without being re-parsed.
+to a :class:`ModuleFacts` — a small summary of what the cross-module
+rules in :mod:`repro.lint.project` need: dataclass fields, method
+mention-sets, ``@register_scheme`` registrations, import/re-export
+edges, and ``__all__`` contents.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 __all__ = ["MethodFacts", "ClassFacts", "ModuleFacts", "collect_facts"]
 
@@ -56,29 +53,6 @@ class MethodFacts:
     #: find the concrete scheme class behind ``build()``.
     returns: List[str] = field(default_factory=list)
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "line": self.line,
-            "col": self.col,
-            "params": list(self.params),
-            "mentions": list(self.mentions),
-            "blanket": self.blanket,
-            "returns": list(self.returns),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "MethodFacts":
-        return cls(
-            name=str(data["name"]),
-            line=int(data["line"]),  # type: ignore[arg-type]
-            col=int(data["col"]),  # type: ignore[arg-type]
-            params=list(data.get("params", [])),  # type: ignore[arg-type]
-            mentions=list(data.get("mentions", [])),  # type: ignore[arg-type]
-            blanket=bool(data.get("blanket", False)),
-            returns=list(data.get("returns", [])),  # type: ignore[arg-type]
-        )
-
 
 @dataclass
 class ClassFacts:
@@ -110,59 +84,6 @@ class ClassFacts:
         names.update(self.methods)
         return names
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "line": self.line,
-            "col": self.col,
-            "bases": list(self.bases),
-            "is_dataclass": self.is_dataclass,
-            "dataclass_frozen": self.dataclass_frozen,
-            "fields": [[n, ln] for n, ln in self.fields],
-            "class_attrs": list(self.class_attrs),
-            "self_attrs": list(self.self_attrs),
-            "methods": {
-                name: mf.to_dict()
-                for name, mf in sorted(self.methods.items())
-            },
-            "registered_scheme": self.registered_scheme,
-            "is_protocol": self.is_protocol,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ClassFacts":
-        methods = {
-            name: MethodFacts.from_dict(mf)
-            for name, mf in sorted(
-                data.get("methods", {}).items()  # type: ignore[union-attr]
-            )
-        }
-        return cls(
-            name=str(data["name"]),
-            line=int(data["line"]),  # type: ignore[arg-type]
-            col=int(data["col"]),  # type: ignore[arg-type]
-            bases=list(data.get("bases", [])),  # type: ignore[arg-type]
-            is_dataclass=bool(data.get("is_dataclass", False)),
-            dataclass_frozen=bool(data.get("dataclass_frozen", False)),
-            fields=[
-                (str(n), int(ln))
-                for n, ln in data.get("fields", [])  # type: ignore[union-attr]
-            ],
-            class_attrs=list(
-                data.get("class_attrs", [])  # type: ignore[arg-type]
-            ),
-            self_attrs=list(
-                data.get("self_attrs", [])  # type: ignore[arg-type]
-            ),
-            methods=methods,
-            registered_scheme=(
-                None
-                if data.get("registered_scheme") is None
-                else str(data["registered_scheme"])
-            ),
-            is_protocol=bool(data.get("is_protocol", False)),
-        )
-
 
 @dataclass
 class ModuleFacts:
@@ -188,75 +109,6 @@ class ModuleFacts:
     all_names: List[Tuple[str, int]] = field(default_factory=list)
     #: True when ``__all__`` exists but could not be fully evaluated.
     all_unresolved: bool = False
-    #: Per-file findings from the dataflow analyses, keyed by rule code
-    #: ("D006", "X001"), each a list of ``[line, col, message]``.
-    local_findings: Dict[str, List[List[object]]] = field(
-        default_factory=dict
-    )
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "path": self.path,
-            "module": self.module,
-            "is_package": self.is_package,
-            "classes": {
-                name: cf.to_dict()
-                for name, cf in sorted(self.classes.items())
-            },
-            "functions": list(self.functions),
-            "bound_names": list(self.bound_names),
-            "imports": list(self.imports),
-            "from_imports": {
-                local: [mod, orig]
-                for local, (mod, orig) in sorted(self.from_imports.items())
-            },
-            "star_imports": list(self.star_imports),
-            "has_module_getattr": self.has_module_getattr,
-            "all_names": [[n, ln] for n, ln in self.all_names],
-            "all_unresolved": self.all_unresolved,
-            "local_findings": {
-                code: [list(f) for f in findings]
-                for code, findings in sorted(self.local_findings.items())
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ModuleFacts":
-        classes = {
-            name: ClassFacts.from_dict(cf)
-            for name, cf in sorted(
-                data.get("classes", {}).items()  # type: ignore[union-attr]
-            )
-        }
-        from_imports = {
-            str(local): (str(pair[0]), str(pair[1]))
-            for local, pair in sorted(
-                data.get("from_imports", {}).items()  # type: ignore
-            )
-        }
-        return cls(
-            path=str(data["path"]),
-            module=str(data["module"]),
-            is_package=bool(data.get("is_package", False)),
-            classes=classes,
-            functions=list(data.get("functions", [])),  # type: ignore
-            bound_names=list(data.get("bound_names", [])),  # type: ignore
-            imports=list(data.get("imports", [])),  # type: ignore[arg-type]
-            from_imports=from_imports,
-            star_imports=list(data.get("star_imports", [])),  # type: ignore
-            has_module_getattr=bool(data.get("has_module_getattr", False)),
-            all_names=[
-                (str(n), int(ln))
-                for n, ln in data.get("all_names", [])  # type: ignore
-            ],
-            all_unresolved=bool(data.get("all_unresolved", False)),
-            local_findings={
-                str(code): [list(f) for f in findings]
-                for code, findings in sorted(
-                    data.get("local_findings", {}).items()  # type: ignore
-                )
-            },
-        )
 
 
 # -- extraction ------------------------------------------------------------
@@ -489,20 +341,10 @@ def _literal_all(node: ast.AST, bound_literals: Dict[str, ast.AST]
     return entries, unresolved
 
 
-def collect_facts(
-    tree: ast.Module,
-    path: str,
-    module: str,
-    local_findings: Optional[Dict[str, List[List[object]]]] = None,
-) -> ModuleFacts:
+def collect_facts(tree: ast.Module, path: str, module: str) -> ModuleFacts:
     """Extract :class:`ModuleFacts` from a parsed module."""
     is_package = path.endswith("__init__.py")
     facts = ModuleFacts(path=path, module=module, is_package=is_package)
-    if local_findings:
-        facts.local_findings = {
-            code: [list(f) for f in findings]
-            for code, findings in sorted(local_findings.items())
-        }
 
     bound: Set[str] = set()
     bound_literals: Dict[str, ast.AST] = {}

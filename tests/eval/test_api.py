@@ -1,4 +1,4 @@
-"""The stable ``repro.api`` facade and the ``repro.eval`` deprecation shims."""
+"""The stable ``repro.api`` facade and the removed ``repro.eval`` shims."""
 
 import warnings
 
@@ -84,30 +84,15 @@ class TestSchemeRegistry:
 
 
 class TestDeprecationShims:
-    def test_eval_reexport_warns_and_matches(self):
-        import repro.eval
-        from repro.eval import runner
+    """The deprecated ``repro.eval`` paths are gone and fail loudly."""
 
-        with pytest.warns(DeprecationWarning, match="repro.api.ScenarioSpec"):
-            shimmed = repro.eval.ScenarioSpec
-        assert shimmed is runner.ScenarioSpec
+    def test_eval_reexport_is_an_import_error(self):
+        with pytest.raises(ImportError):
+            from repro.eval import SweepRunner  # noqa: F401
 
-    def test_every_shimmed_name_resolves(self):
-        import repro.eval
-
-        for name in ("ScenarioSpec", "SweepRunner", "run_spec", "RunResult",
-                     "PointResult", "SweepResult", "ResultCache",
-                     "default_cache_dir", "build_flood_specs",
-                     "build_fig11_spec"):
-            with pytest.warns(DeprecationWarning):
-                assert getattr(repro.eval, name) is getattr(api, name)
-
-    def test_make_scheme_warns_but_works(self):
-        from repro.eval.experiments import make_scheme
-
-        with pytest.warns(DeprecationWarning, match="build_scheme"):
-            scheme = make_scheme("internet", FAST)
-        assert hasattr(scheme, "make_router_processor")
+    def test_make_scheme_is_an_import_error(self):
+        with pytest.raises(ImportError):
+            from repro.eval.experiments import make_scheme  # noqa: F401
 
     def test_unknown_name_still_raises_attribute_error(self):
         import repro.eval

@@ -4,14 +4,20 @@ import pytest
 
 from repro.baselines import LegacyScheme, PushbackScheme, SiffScheme
 from repro.core import TvaScheme
+from repro.api import build_scheme
 from repro.eval import (
     ExperimentConfig,
     Fig11Result,
     FloodResult,
     format_flood_table,
-    make_scheme,
     run_flood_scenario,
 )
+from repro.eval.experiments import _scheme_kwargs
+
+
+def make_scheme(name, config, **kwargs):
+    """The scheme ``run_flood_scenario`` builds for ``config``."""
+    return build_scheme(name, **_scheme_kwargs(name, config, **kwargs))
 
 
 class TestMakeScheme:

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.eval import (
+from repro.api import (
     ExperimentConfig,
     ResultCache,
     ScenarioSpec,

@@ -128,18 +128,33 @@ def test_exclude_skips_subtree(capsys):
     assert "0 file(s)" in capsys.readouterr().out
 
 
-def test_incremental_cache_round_trip(tmp_path, capsys):
-    cache = tmp_path / "cache.json"
-    assert main(["lint", POSITIVE, "--cache-file", str(cache)]) == 1
-    cold = capsys.readouterr().out
-    assert cache.exists()
-    assert main(["lint", POSITIVE, "--cache-file", str(cache)]) == 1
-    warm = capsys.readouterr().out
-    assert cold == warm
+WALL_CLOCK = "import time\n\n\ndef now():\n    return time.time()\n"
 
 
-def test_no_incremental_skips_cache_file(tmp_path, capsys):
-    cache = tmp_path / "cache.json"
-    assert main(["lint", POSITIVE, "--no-incremental",
-                 "--cache-file", str(cache)]) == 1
-    assert not cache.exists()
+def test_answer_does_not_depend_on_an_earlier_run(tmp_path, monkeypatch,
+                                                   capsys):
+    # D004 is scoped by the module name, which comes from the display
+    # path: linted from the tree root the file is repro.sim.clock (a
+    # simulation module), from inside repro/sim/ it is plain "clock".
+    # Each run must give that cold answer whatever ran before it.
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    sim_dir = tmp_path / "tree" / "repro" / "sim"
+    sim_dir.mkdir(parents=True)
+    (sim_dir / "clock.py").write_text(WALL_CLOCK, encoding="utf-8")
+
+    monkeypatch.chdir(tmp_path / "tree")
+    assert main(["lint", "repro/sim/clock.py"]) == 1
+    monkeypatch.chdir(sim_dir)
+    assert main(["lint", "clock.py"]) == 0
+    monkeypatch.chdir(tmp_path / "tree")
+    assert main(["lint", "repro/sim/clock.py"]) == 1
+    assert "D004" in capsys.readouterr().out
+
+
+def test_lint_writes_no_cache(tmp_path, monkeypatch, capsys):
+    cache_home = tmp_path / "cache"
+    cache_home.mkdir()
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_home))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache_home))
+    assert main(["lint", POSITIVE]) == 1
+    assert list(cache_home.iterdir()) == []

@@ -8,7 +8,7 @@ single-source strings.
 
 from pathlib import Path
 
-from repro.lint import IncrementalCache, LintEngine, lint_paths
+from repro.lint import lint_paths
 
 PROTOCOL = """\
 from typing import Protocol
@@ -279,70 +279,6 @@ class TestFamilySelect:
         findings, _ = lint_paths([tmp_path], root=tmp_path,
                                  select=["D006"])
         assert sorted({f.code for f in findings}) == ["D006"]
-
-
-class TestIncrementalCache:
-    def project(self, tmp_path):
-        return write_project(tmp_path, {
-            "proto.py": PROTOCOL,
-            "scheme_mod.py": SCHEME.format(extra=""),
-            "knobs_mod.py": KNOBS,
-        })
-
-    def test_warm_run_hits_and_is_identical(self, tmp_path):
-        root = self.project(tmp_path / "proj")
-        cache_file = tmp_path / "cache.json"
-
-        cache = IncrementalCache(cache_file)
-        cold, n_cold = LintEngine(cache=cache).lint_paths(
-            [root], root=root)
-        assert cache.hits == 0 and cache.misses == 3
-        assert cache_file.exists()
-
-        cache2 = IncrementalCache(cache_file)
-        warm, n_warm = LintEngine(cache=cache2).lint_paths(
-            [root], root=root)
-        assert cache2.hits == 3 and cache2.misses == 0
-        assert n_cold == n_warm
-        assert [f.to_dict() for f in cold] == [f.to_dict() for f in warm]
-
-    def test_content_change_invalidates_one_file(self, tmp_path):
-        root = self.project(tmp_path / "proj")
-        cache_file = tmp_path / "cache.json"
-        cache = IncrementalCache(cache_file)
-        LintEngine(cache=cache).lint_paths([root], root=root)
-
-        # Fix the scheme: the cross-module finding must disappear even
-        # though knobs_mod.py itself is served from cache.
-        (root / "scheme_mod.py").write_text(
-            SCHEME.format(extra="\n    def metric_items(self): ...\n"),
-            encoding="utf-8")
-        cache2 = IncrementalCache(cache_file)
-        warm, _ = LintEngine(cache=cache2).lint_paths([root], root=root)
-        assert cache2.hits == 2 and cache2.misses == 1
-        assert [f for f in warm if f.active] == []
-
-    def test_ruleset_fingerprint_mismatch_discards(self, tmp_path):
-        root = self.project(tmp_path / "proj")
-        cache_file = tmp_path / "cache.json"
-        cache = IncrementalCache(cache_file)
-        LintEngine(cache=cache).lint_paths([root], root=root)
-
-        import json
-        data = json.loads(cache_file.read_text())
-        data["fingerprint"] = "stale"
-        cache_file.write_text(json.dumps(data))
-        cache2 = IncrementalCache(cache_file)
-        LintEngine(cache=cache2).lint_paths([root], root=root)
-        assert cache2.hits == 0 and cache2.misses == 3
-
-    def test_cache_ignored_with_custom_rules(self, tmp_path):
-        from repro.lint import FILE_RULES
-
-        root = self.project(tmp_path / "proj")
-        cache = IncrementalCache(tmp_path / "cache.json")
-        engine = LintEngine(rules=FILE_RULES, cache=cache)
-        assert engine.cache is None
 
 
 class TestExclude:

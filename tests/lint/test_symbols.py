@@ -2,7 +2,7 @@
 
 import ast
 
-from repro.lint.symbols import ModuleFacts, collect_facts
+from repro.lint.symbols import collect_facts
 
 
 def facts_of(source, path="mod.py", module="mod"):
@@ -150,21 +150,3 @@ class TestModuleFacts:
     def test_module_getattr_detected(self):
         facts = facts_of("def __getattr__(name):\n    raise AttributeError\n")
         assert facts.has_module_getattr
-
-    def test_json_roundtrip(self):
-        facts = facts_of(
-            "from dataclasses import asdict, dataclass\n"
-            "from .other import thing\n"
-            "@dataclass(frozen=True)\n"
-            "class Spec:\n"
-            "    a: int = 1\n"
-            "    def canonical(self):\n"
-            "        return asdict(self)\n"
-            "__all__ = ['Spec', 'thing']\n",
-            path="src/repro/mod.py", module="repro.mod")
-        facts.local_findings = {"D006": [[3, 0, "msg"]]}
-        data = facts.to_dict()
-        back = ModuleFacts.from_dict(data)
-        assert back.to_dict() == data
-        assert back.classes["Spec"].methods["canonical"].blanket
-        assert back.local_findings == {"D006": [[3, 0, "msg"]]}
