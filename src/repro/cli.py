@@ -387,7 +387,7 @@ def _cmd_lint(args) -> int:
     paths = [Path(p) for p in args.paths] if args.paths \
         else [Path(__file__).parent]
     select = None
-    if args.select:
+    if args.select is not None:
         select = [token.strip() for token in args.select.split(",")
                   if token.strip()]
     exclude = [Path(p) for p in args.exclude] if args.exclude else None
@@ -845,7 +845,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "::error workflow annotations)")
     pl.add_argument("--select", default=None, metavar="RULES",
                     help="comma-separated rule codes, slugs, or single-"
-                         "letter families to run (e.g. C or D,X001; "
+                         "letter families to run (e.g. X or D,X001; "
                          "default: all)")
     pl.add_argument("--exclude", action="append", default=None,
                     metavar="PATH",

@@ -5,14 +5,15 @@ and deterministic end to end: files are visited in sorted path order,
 findings are emitted in (path, line, col, code) order, and nothing reads
 the environment — the same tree always produces byte-identical reports.
 
-Two passes
-----------
-Pass 1 parses each file once, runs the per-file rules (the syntactic
-rules and the D006/X001 dataflow analyses), and boils the module down to
-:class:`~repro.lint.symbols.ModuleFacts`.  Pass 2 builds a
-:class:`~repro.lint.project.Project` from every file's facts and runs
-the cross-module contract rules (C001–C003).  Every run is cold: the
-report is a function of the linted paths and the root alone.
+One pass
+--------
+Each file is parsed once and every selected rule — the syntactic rules
+and the D006/X001 dataflow analyses — runs over that one tree.  No rule
+looks across files, so a file's findings depend on its own source and
+display path alone, and every run is cold: the report is a function of
+the linted paths and the root.  Contracts that span modules (the cache
+key trio, the scheme protocol, ``__all__``) are checked by tier-1 tests
+on the imported objects instead.
 
 Suppressions
 ------------
@@ -40,21 +41,16 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .dataflow import DATAFLOW_RULES
-from .project import PROJECT_RULES, Project, ProjectRule
-from .rules import RULES, FileContext, Rule
-from .symbols import ModuleFacts, collect_facts
+from .rules import SYNTAX_RULES, FileContext, Rule
 
-#: Rules that see one parsed file: syntactic patterns + dataflow.
-FILE_RULES: Tuple[Rule, ...] = tuple(RULES) + tuple(DATAFLOW_RULES)
-
-#: The full registry: per-file rules + project contract rules.
-ALL_RULES: Tuple[Rule, ...] = FILE_RULES + tuple(PROJECT_RULES)
+#: The rule registry: syntactic patterns + dataflow analyses.
+RULES: Tuple[Rule, ...] = SYNTAX_RULES + DATAFLOW_RULES
 
 #: Lookup by code and by slug (both casings folded by the caller).
-ALL_RULES_BY_KEY: Dict[str, Rule] = {}
-for _rule in ALL_RULES:
-    ALL_RULES_BY_KEY[_rule.code] = _rule
-    ALL_RULES_BY_KEY[_rule.name] = _rule
+RULES_BY_KEY: Dict[str, Rule] = {}
+for _rule in RULES:
+    RULES_BY_KEY[_rule.code] = _rule
+    RULES_BY_KEY[_rule.name] = _rule
 
 #: ``# repro: allow-<rules> [justification]`` — rules = slugs/codes.
 _ALLOW_RE = re.compile(r"#\s*repro:\s*allow-([A-Za-z0-9_-]+(?:,[A-Za-z0-9_-]+)*)")
@@ -107,12 +103,13 @@ class LintError(ValueError):
 def _normalize_select(select: Optional[Iterable[str]]) -> Optional[Set[str]]:
     """Map a mixed code/slug/family selection onto canonical rule codes.
 
-    A single letter selects a rule family: ``C`` expands to every
-    ``C###`` code, ``D`` to every ``D###``, and so on.
+    A single letter selects a rule family: ``D`` expands to every
+    ``D###`` code, ``X`` to every ``X###``, and so on.  A selection that
+    names no rule at all is an error, not a run of zero rules.
     """
     if select is None:
         return None
-    families = sorted({r.code[0] for r in ALL_RULES})
+    families = sorted({r.code[0] for r in RULES})
     codes: Set[str] = set()
     for key in select:
         key = key.strip()
@@ -120,7 +117,7 @@ def _normalize_select(select: Optional[Iterable[str]]) -> Optional[Set[str]]:
             continue
         if len(key) == 1 and key.isalpha():
             family = key.upper()
-            matched = {r.code for r in ALL_RULES
+            matched = {r.code for r in RULES
                        if r.code.startswith(family)}
             if not matched:
                 raise LintError(
@@ -128,14 +125,17 @@ def _normalize_select(select: Optional[Iterable[str]]) -> Optional[Set[str]]:
                     f"known families: {', '.join(families)}")
             codes.update(matched)
             continue
-        rule = ALL_RULES_BY_KEY.get(key) \
-            or ALL_RULES_BY_KEY.get(key.upper()) \
-            or ALL_RULES_BY_KEY.get(key.lower())
+        rule = RULES_BY_KEY.get(key) \
+            or RULES_BY_KEY.get(key.upper()) \
+            or RULES_BY_KEY.get(key.lower())
         if rule is None:
-            known = ", ".join(sorted({r.code for r in ALL_RULES}
-                                     | {r.name for r in ALL_RULES}))
+            known = ", ".join(sorted({r.code for r in RULES}
+                                     | {r.name for r in RULES}))
             raise LintError(f"unknown rule {key!r}; choose from {known}")
         codes.add(rule.code)
+    if not codes:
+        raise LintError("empty rule selection; name at least one rule "
+                        "code, slug or family")
     return codes
 
 
@@ -200,16 +200,6 @@ def _is_suppressed(finding_line: int, code: str, rule_name: str,
 # -- the engine ------------------------------------------------------------
 
 
-@dataclass
-class _FileScan:
-    """Everything pass 1 produces for one file."""
-
-    findings: List[Finding]
-    facts: ModuleFacts
-    allowed: Dict[int, Set[str]]
-    lines: List[str]
-
-
 class LintEngine:
     """Run the rule set over sources, files, or trees.
 
@@ -224,20 +214,21 @@ class LintEngine:
         exclude: Optional[Sequence[Path]] = None,
     ) -> None:
         codes = _normalize_select(select)
-        chosen = tuple(rules) if rules is not None else ALL_RULES
+        chosen = tuple(rules) if rules is not None else RULES
         if codes is not None:
             chosen = tuple(r for r in chosen if r.code in codes)
         self.rules = chosen
         self.exclude = tuple(Path(e) for e in (exclude or ()))
 
-    # -- pass 1 --------------------------------------------------------
+    # -- public API ----------------------------------------------------
 
-    def _scan_source(
+    def lint_source(
         self,
         source: str,
-        path: str,
+        path: str = "<string>",
         module: Optional[str] = None,
-    ) -> _FileScan:
+    ) -> List[Finding]:
+        """Lint one source string; ``module`` overrides name inference."""
         try:
             tree = ast.parse(source, filename=path)
         except SyntaxError as exc:
@@ -251,63 +242,15 @@ class LintEngine:
         findings: List[Finding] = []
         for rule in self.rules:
             for raw in rule.check(tree, ctx):
-                findings.append(self._attach(path, rule.code, rule.name,
-                                             raw.line, raw.col, raw.message,
-                                             lines, allowed))
-        facts = collect_facts(tree, path, module)
-        return _FileScan(findings=findings, facts=facts,
-                         allowed=allowed, lines=lines)
-
-    def _attach(self, path: str, code: str, rule_name: str, line: int,
-                col: int, message: str, lines: Sequence[str],
-                allowed: Dict[int, Set[str]]) -> Finding:
-        snippet = ""
-        if 1 <= line <= len(lines):
-            snippet = lines[line - 1].strip()
-        return Finding(
-            path=path, line=line, col=col, code=code, rule=rule_name,
-            message=message, snippet=snippet,
-            suppressed=_is_suppressed(line, code, rule_name, allowed),
-        )
-
-    # -- pass 2 --------------------------------------------------------
-
-    def _project_findings(
-        self,
-        scans: Dict[str, _FileScan],
-    ) -> List[Finding]:
-        project = Project(
-            [scan.facts for _, scan in sorted(scans.items())]
-        )
-        findings: List[Finding] = []
-        for rule in self.rules:
-            if not isinstance(rule, ProjectRule):
-                continue
-            for path, raw in rule.check_project(project):
-                scan = scans.get(path)
-                lines: Sequence[str] = scan.lines if scan else ()
-                allowed = scan.allowed if scan else {}
-                findings.append(self._attach(path, rule.code, rule.name,
-                                             raw.line, raw.col, raw.message,
-                                             lines, allowed))
-        return findings
-
-    # -- public API ----------------------------------------------------
-
-    def lint_source(
-        self,
-        source: str,
-        path: str = "<string>",
-        module: Optional[str] = None,
-    ) -> List[Finding]:
-        """Lint one source string; ``module`` overrides name inference.
-
-        A single source is treated as a one-module project, so the
-        cross-module rules run too (over whatever the file defines).
-        """
-        scan = self._scan_source(source, path, module)
-        findings = list(scan.findings)
-        findings.extend(self._project_findings({path: scan}))
+                snippet = ""
+                if 1 <= raw.line <= len(lines):
+                    snippet = lines[raw.line - 1].strip()
+                findings.append(Finding(
+                    path=path, line=raw.line, col=raw.col, code=rule.code,
+                    rule=rule.name, message=raw.message, snippet=snippet,
+                    suppressed=_is_suppressed(raw.line, rule.code,
+                                              rule.name, allowed),
+                ))
         findings.sort(key=Finding.sort_key)
         return findings
 
@@ -331,19 +274,12 @@ class LintEngine:
 
         Directories are walked recursively for ``*.py``; the scan order
         (and therefore the report) is sorted, independent of filesystem
-        enumeration order.  The project pass runs over the union of all
-        scanned files.
+        enumeration order.
         """
         files = self._gather(paths)
-        scans: Dict[str, _FileScan] = {}
-        for file in files:
-            source = file.read_text(encoding="utf-8")
-            display = _display_path(file, root)
-            scans[display] = self._scan_source(source, display)
         findings: List[Finding] = []
-        for _, scan in sorted(scans.items()):
-            findings.extend(scan.findings)
-        findings.extend(self._project_findings(scans))
+        for file in files:
+            findings.extend(self.lint_file(file, root=root))
         findings.sort(key=Finding.sort_key)
         return findings, len(files)
 

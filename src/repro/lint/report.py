@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Sequence
 
-from .engine import ALL_RULES
+from .engine import RULES
 
 JSON_VERSION = 1
 
@@ -73,7 +73,7 @@ def render_json(findings: Sequence, files_scanned: int) -> str:
                 "summary": rule.summary,
                 "motivation": rule.motivation,
             }
-            for rule in ALL_RULES
+            for rule in RULES
         },
         "findings": [
             dict(f.to_dict(), fingerprint=fp)

@@ -501,9 +501,9 @@ class HotPathCodecRule(Rule):
                 and node.func.id in imported)
 
 
-#: The syntactic per-file rules, in rule-code order.  The engine adds
-#: the dataflow and project rules to form the full registry.
-RULES: Tuple[Rule, ...] = (
+#: The syntactic rules, in rule-code order.  The engine adds the
+#: dataflow rules to form the full registry.
+SYNTAX_RULES: Tuple[Rule, ...] = (
     HashBuiltinRule(),
     UnorderedIterRule(),
     UnseededRandomRule(),

@@ -1,9 +1,13 @@
-"""The stable ``repro.api`` facade and the removed ``repro.eval`` shims."""
+"""The stable ``repro.api`` facade, the removed ``repro.eval`` shims,
+and the ``__all__`` promise of every ``repro`` module."""
 
+import importlib
+import pkgutil
 import warnings
 
 import pytest
 
+import repro
 from repro import api
 from repro.eval.experiments import ExperimentConfig
 from repro.eval.runner import ScenarioSpec, run_spec
@@ -11,15 +15,27 @@ from repro.eval.runner import ScenarioSpec, run_spec
 FAST = ExperimentConfig(duration=3.0)
 
 
+def _modules_with_all():
+    names = ["repro"] + [
+        info.name for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        if not info.name.endswith("__main__")  # importing it runs the CLI
+    ]
+    return [n for n in names
+            if hasattr(importlib.import_module(n), "__all__")]
+
+
+EXPORTING_MODULES = _modules_with_all()
+
+
 class TestFacade:
-    def test_exports_everything_promised(self):
-        for name in api.__all__:
-            assert getattr(api, name) is not None
+    @pytest.mark.parametrize("module_name", EXPORTING_MODULES)
+    def test_exports_everything_promised(self, module_name):
+        module = importlib.import_module(module_name)
+        missing = [n for n in module.__all__ if not hasattr(module, n)]
+        assert missing == [], f"{module_name}.__all__ names {missing}"
 
     def test_importable_without_deprecation_warnings(self):
         # The facade must not route through its own compatibility shims.
-        import importlib
-
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             importlib.reload(api)

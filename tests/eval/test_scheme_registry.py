@@ -8,8 +8,9 @@ adding a scheme automatically subjects it to the same contracts:
   ``ScenarioSpec.scheme_options`` (same cache key both ways);
 * ``build()`` honours ``seed`` and ``destination_policy``;
 * unknown knob names fail loudly with a ``TypeError`` naming the scheme;
-* ``reboot_router`` and ``metric_items`` uphold the ``SchemeFactory``
-  protocol on a live dumbbell;
+* every ``build()`` product has every member the ``SchemeFactory``
+  protocol declares, and ``reboot_router`` and ``metric_items`` uphold
+  the protocol on a live dumbbell;
 * every surface that lists schemes (CLI choices, ``repro.api``,
   DESIGN.md's table) derives from — or at least agrees with — the
   registry.
@@ -31,7 +32,7 @@ from repro.eval.experiments import SCHEMES as EXPERIMENT_SCHEMES
 from repro.eval.experiments import ExperimentConfig
 from repro.eval.runner import ScenarioSpec, build_fig11_spec
 from repro.schemes import SCHEMES, build_scheme, knobs_for, scheme_names
-from repro.sim import Simulator, build_dumbbell
+from repro.sim import SchemeFactory, Simulator, build_dumbbell
 
 #: One non-default override per scheme, exercising a representative knob
 #: type each (tuple-free floats, ints, and the empty case).
@@ -44,6 +45,16 @@ SAMPLE_OPTIONS = {
 }
 
 ALL_SCHEMES = scheme_names()
+
+#: The public members ``SchemeFactory`` declares: its methods plus its
+#: annotated attributes.  Derived from the protocol, so a member added
+#: there is checked against every scheme without touching this file.
+PROTOCOL_METHODS = [
+    n for n in sorted(vars(SchemeFactory))
+    if not n.startswith("_") and callable(getattr(SchemeFactory, n))
+]
+PROTOCOL_MEMBERS = sorted(set(PROTOCOL_METHODS)
+                          | set(SchemeFactory.__annotations__))
 
 
 def test_sample_options_cover_the_registry():
@@ -58,6 +69,14 @@ class TestKnobContracts:
         assert dataclasses.is_dataclass(cls)
         assert cls.__dataclass_params__.frozen
         assert cls.scheme_name == name
+
+    def test_build_product_satisfies_scheme_factory(self, name):
+        assert {"name", "metric_items"} <= set(PROTOCOL_MEMBERS)
+        scheme = build_scheme(name, seed=5)
+        missing = [m for m in PROTOCOL_MEMBERS if not hasattr(scheme, m)]
+        assert missing == [], f"{type(scheme).__name__} lacks {missing}"
+        for method in PROTOCOL_METHODS:
+            assert callable(getattr(scheme, method)), method
 
     def test_knobs_json_roundtrip(self, name):
         knobs = knobs_for(name, SAMPLE_OPTIONS[name])

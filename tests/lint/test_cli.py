@@ -110,9 +110,23 @@ def test_github_format_omits_suppressed(capsys):
 
 
 def test_select_family(capsys):
-    # d001_positive has only D-family findings; the C family is clean.
-    assert main(["lint", POSITIVE, "--select", "C"]) == 0
+    # d001_positive has only D-family findings; the X family is clean.
+    assert main(["lint", POSITIVE, "--select", "X"]) == 0
     assert main(["lint", POSITIVE, "--select", "D"]) == 1
+
+
+def test_removed_contract_rules_are_usage_errors(capsys):
+    # C001-C003 became runtime tests under tests/eval/.
+    assert main(["lint", POSITIVE, "--select", "C"]) == 2
+    assert "unknown rule family" in capsys.readouterr().err
+    assert main(["lint", POSITIVE, "--select", "C001"]) == 2
+    assert "unknown rule" in capsys.readouterr().err
+
+
+def test_empty_select_is_usage_error(capsys):
+    # Selecting nothing must not switch the gate off on dirty fixtures.
+    assert main(["lint", str(FIXTURES), "--select", ","]) == 2
+    assert "empty rule selection" in capsys.readouterr().err
 
 
 def test_unknown_family_is_usage_error(capsys):

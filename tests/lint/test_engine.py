@@ -58,6 +58,21 @@ class TestSuppressions:
         findings = lint(src)
         assert [f.suppressed for f in findings] == [False]
 
+    def test_d006_suppressed_by_slug(self):
+        src = ("import random\n"
+               "def f():\n"
+               "    return random.Random(7)"
+               "  # repro: allow-rng-provenance — why\n")
+        assert [f.active for f in lint(src)] == [False]
+
+    def test_x001_suppressed_by_code(self):
+        src = ("from concurrent.futures import ProcessPoolExecutor\n"
+               "def f(xs):\n"
+               "    with ProcessPoolExecutor() as p:\n"
+               "        # repro: allow-X001 — test double\n"
+               "        return list(p.map(lambda x: x, xs))\n")
+        assert [f.active for f in lint(src)] == [False]
+
     def test_comment_inside_string_is_not_a_suppression(self):
         src = ('NOTE = " # repro: allow-hash-builtin "\n'
                "def f(x):\n"
@@ -105,9 +120,8 @@ class TestSelection:
             LintEngine(select=["D999"])
 
     def test_select_family_letter(self):
-        engine = LintEngine(select=["C"])
-        assert sorted(r.code for r in engine.rules) == \
-            ["C001", "C002", "C003"]
+        engine = LintEngine(select=["X"])
+        assert sorted(r.code for r in engine.rules) == ["X001"]
 
     def test_select_family_mixed_with_code(self):
         engine = LintEngine(select=["D", "X001"])
@@ -117,14 +131,35 @@ class TestSelection:
         assert "D001" in codes and "D006" in codes
 
     def test_family_is_case_insensitive(self):
-        assert sorted(r.code for r in LintEngine(select=["c"]).rules) == \
-            sorted(r.code for r in LintEngine(select=["C"]).rules)
+        assert sorted(r.code for r in LintEngine(select=["d"]).rules) == \
+            sorted(r.code for r in LintEngine(select=["D"]).rules)
 
     def test_unknown_family_names_families(self):
         with pytest.raises(LintError, match="unknown rule family"):
             LintEngine(select=["Q"])
         with pytest.raises(LintError, match="known families"):
             LintEngine(select=["Q"])
+
+    @pytest.mark.parametrize("select", [[], [""], [" ", ""]])
+    def test_empty_selection_raises(self, select):
+        # Zero selected rules would pass any tree: a gate switched off.
+        with pytest.raises(LintError, match="empty rule selection"):
+            LintEngine(select=select)
+
+    def test_family_restricts_findings(self, tmp_path):
+        (tmp_path / "mixed_mod.py").write_text(
+            "import random\n"
+            "from concurrent.futures import ProcessPoolExecutor\n"
+            "RNG = random.Random(3)\n"
+            "def f(xs):\n"
+            "    with ProcessPoolExecutor() as p:\n"
+            "        return list(p.map(lambda x: x, xs))\n",
+            encoding="utf-8")
+        findings, _ = lint_paths([tmp_path], root=tmp_path, select=["X"])
+        assert sorted({f.code for f in findings}) == ["X001"]
+        findings, _ = lint_paths([tmp_path], root=tmp_path,
+                                 select=["D006"])
+        assert sorted({f.code for f in findings}) == ["D006"]
 
 
 class TestPaths:
@@ -146,6 +181,17 @@ class TestPaths:
         findings, _ = lint_paths([FIXTURES], root=FIXTURES.parent)
         keys = [f.sort_key() for f in findings]
         assert keys == sorted(keys)
+
+    def test_exclude_prunes_subtree(self, tmp_path):
+        (tmp_path / "clean.py").write_text("X = 1\n", encoding="utf-8")
+        dirty = tmp_path / "dirty"
+        dirty.mkdir()
+        (dirty / "bad.py").write_text(
+            "import random\nRNG = random.Random(1)\n", encoding="utf-8")
+        findings, n = lint_paths([tmp_path], root=tmp_path)
+        assert n == 2 and len([f for f in findings if f.active]) == 1
+        findings, n = lint_paths([tmp_path], root=tmp_path, exclude=[dirty])
+        assert n == 1 and [f for f in findings if f.active] == []
 
     def test_duplicate_inputs_scan_once(self):
         one, n1 = lint_paths([FIXTURES / "d001_positive.py"])
