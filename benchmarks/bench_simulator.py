@@ -12,8 +12,9 @@ from repro.sim import (
     Link,
     Packet,
     Simulator,
-    build_dumbbell,
     build_static_routes,
+    dumbbell_spec,
+    instantiate,
 )
 from repro.transport import CbrFlood, PacketSink, RepeatingTransferClient, TcpListener
 
@@ -69,7 +70,7 @@ def test_tva_dumbbell_simulated_second(benchmark):
             destination_policy=lambda: ServerPolicy(
                 default_grant=(256 * 1024, 10)),
         )
-        net = build_dumbbell(sim, scheme, n_users=10, n_attackers=10)
+        net = instantiate(dumbbell_spec(n_users=10, n_attackers=10), sim, scheme)
         TcpListener(sim, net.destination, 80)
         for i, user in enumerate(net.users):
             RepeatingTransferClient(sim, user, net.destination.address, 80,

@@ -20,7 +20,8 @@ from repro.api import (
     TcpListener,
     TransferLog,
     TvaScheme,
-    build_two_tier,
+    instantiate,
+    two_tier_spec,
 )
 
 DURATION = 12.0
@@ -43,7 +44,7 @@ def main() -> None:
     sim = Simulator()
     scheme = TvaScheme(request_fraction=0.01,
                        destination_policy=SmallGrantNoRenewal)
-    net = build_two_tier(sim, scheme, n_sites=3, hosts_per_site=3)
+    net = instantiate(two_tier_spec(n_sites=3, hosts_per_site=3), sim, scheme)
     TcpListener(sim, net.destination, 80)
 
     print("sites:   S0 (flooder + 2 mates)   S1, S2 (3 hosts each)")

@@ -124,7 +124,6 @@ from .sim import (
     AggregateHost,
     AggregateLink,
     DropTailQueue,
-    Dumbbell,
     Host,
     LegacyDefaults,
     Link,
@@ -138,16 +137,15 @@ from .sim import (
     TransferLog,
     as_graph_spec,
     asymmetric_spec,
-    build_chain,
-    build_dumbbell,
-    build_parallel,
     build_static_routes,
-    build_two_tier,
+    chain_spec,
     dumbbell_spec,
     fat_tree_spec,
     instantiate,
+    parallel_spec,
     partial_deployment_spec,
     tree_spec,
+    two_tier_spec,
 )
 from .transport import (
     AggregateSender,
@@ -296,7 +294,6 @@ __all__ = [
     "LegacyDefaults",
     "Simulator",
     "TransferLog",
-    "Dumbbell",
     "Network",
     "Host",
     "Link",
@@ -314,11 +311,10 @@ __all__ = [
     "as_graph_spec",
     "asymmetric_spec",
     "partial_deployment_spec",
-    "build_chain",
-    "build_dumbbell",
-    "build_parallel",
+    "chain_spec",
+    "two_tier_spec",
+    "parallel_spec",
     "build_static_routes",
-    "build_two_tier",
     # traffic agents
     "TcpListener",
     "RepeatingTransferClient",

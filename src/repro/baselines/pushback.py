@@ -39,7 +39,7 @@ from ..sim.link import Link
 from ..sim.node import HostShim, Router, RouterProcessor
 from ..sim.packet import Packet
 from ..sim.queues import DropTailQueue, Qdisc, TokenBucket
-from ..sim.topology import Dumbbell, LegacyDefaults
+from ..sim.topology import LegacyDefaults, Network
 
 
 class PushbackProcessor(RouterProcessor):
@@ -246,7 +246,7 @@ class PushbackScheme(LegacyDefaults):
     def make_host_shim(self, role: str) -> Optional[HostShim]:
         return None  # pushback needs no host changes
 
-    def wire(self, net: Dumbbell) -> None:
+    def wire(self, net: Network) -> None:
         for node in net.nodes:
             if isinstance(node, Router) and node.processor in self.processors.values():
                 node.processor.attach(node)

@@ -265,7 +265,7 @@ def run_flood_scenario(
     # Attacker units are plain hosts and/or aggregated groups; ``idx``
     # counts individual senders across both so start-time RNG draws and
     # per-sender RNG seeds are identical however the units are packaged.
-    units = net.attacker_units or net.attackers
+    units = net.attacker_units
     k_total = sum(getattr(unit, "count", 1) for unit in units)
     group_size = max(1, k_total // max(1, attack_groups))
     idx = 0

@@ -59,7 +59,7 @@ class FaultEvent:
 class LinkDown(FaultEvent):
     """Take ``link`` down, draining (and losing) its queued backlog.
 
-    ``link`` is resolved by :meth:`repro.sim.topology.Dumbbell.links_by_name`:
+    ``link`` is resolved by :meth:`repro.sim.topology.Network.links_by_name`:
     the ``"bottleneck"``/``"reverse"`` aliases, an exact ``"A->B"`` name, or
     ``"A<->B"`` for both directions.
     """

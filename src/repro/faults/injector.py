@@ -23,7 +23,7 @@ from .schedule import FaultSchedule
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.engine import Simulator
     from ..sim.link import Link
-    from ..sim.topology import Dumbbell, SchemeFactory
+    from ..sim.topology import Network, SchemeFactory
 
 
 class FaultInjectionError(Exception):
@@ -36,7 +36,7 @@ class FaultInjector:
     def __init__(self, schedule: FaultSchedule) -> None:
         self.schedule = schedule
         self._sim: "Simulator" = None  # set by install()
-        self._net: "Dumbbell" = None
+        self._net: "Network" = None
         self._scheme: "SchemeFactory" = None
         self.applied = Counter("applied")
         self.link_downs = Counter("link_downs")
@@ -47,7 +47,7 @@ class FaultInjector:
         self.drained_bytes = Counter("drained_bytes")
 
     # ------------------------------------------------------------------
-    def install(self, sim: "Simulator", net: "Dumbbell", scheme: "SchemeFactory") -> None:
+    def install(self, sim: "Simulator", net: "Network", scheme: "SchemeFactory") -> None:
         """Validate the schedule against the topology and book every event.
 
         Name resolution happens up front so a typo'd router or link name

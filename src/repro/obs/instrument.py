@@ -1,7 +1,7 @@
 """Wiring the metric registry into a built network.
 
 :class:`Observation` bundles one run's registry and sampler and knows how
-to instrument a :class:`~repro.sim.topology.Dumbbell`:
+to instrument a :class:`~repro.sim.topology.Network`:
 
 * the bottleneck links get total and per-traffic-class transmit counters
   plus derived per-interval utilization gauges (the Figure 2 view of the
@@ -33,7 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..sim.link import Link
     from ..sim.packet import Packet
     from ..sim.queues import Qdisc
-    from ..sim.topology import Dumbbell, SchemeFactory
+    from ..sim.topology import Network, SchemeFactory
     from ..transport.tcp import TcpStats
 
 #: The three output classes of Figure 2.  Demoted packets count as
@@ -86,7 +86,7 @@ class Observation:
     def install(
         self,
         sim: "Simulator",
-        net: "Dumbbell",
+        net: "Network",
         scheme: "SchemeFactory",
         tcp_stats: Optional["TcpStats"] = None,
         injector=None,
@@ -115,7 +115,7 @@ class Observation:
         self.sampler = Sampler(sim, self.registry, self.interval)
 
     # ------------------------------------------------------------------
-    def instrument_hosts(self, net: "Dumbbell") -> None:
+    def instrument_hosts(self, net: "Network") -> None:
         """Aggregate host-shim activity: capability re-requests and
         demotion sightings, summed over all hosts.
 

@@ -22,9 +22,8 @@ if TYPE_CHECKING:  # pragma: no cover
 class Sampler:
     """Record one row of every registered metric each ``interval`` seconds.
 
-    The first sample fires one interval in, matching
-    :class:`~repro.sim.trace.LinkMonitor`; a run of ``duration`` seconds
-    yields ``floor(duration / interval)`` rows.
+    The first sample fires one interval in, so a run of ``duration``
+    seconds yields ``floor(duration / interval)`` rows.
     """
 
     def __init__(

@@ -4,7 +4,7 @@ Public surface::
 
     from repro.sim import Simulator, Packet, Link, Host, Router
     from repro.sim import DropTailQueue, DRRFairQueue, TokenBucket, PriorityScheduler
-    from repro.sim import build_dumbbell, SchemeFactory, TransferLog
+    from repro.sim import dumbbell_spec, instantiate, SchemeFactory, TransferLog
 """
 
 from .engine import Event, SimulationError, Simulator
@@ -19,29 +19,22 @@ from .queues import (
     TokenBucket,
 )
 from .routing import RoutingError, build_static_routes
-from .topology import (
-    Dumbbell,
-    LegacyDefaults,
-    Network,
-    SchemeFactory,
-    build_chain,
-    build_dumbbell,
-    build_parallel,
-    build_two_tier,
-    instantiate,
-)
+from .topology import LegacyDefaults, Network, SchemeFactory, instantiate
 from .topospec import (
     LinkSpec,
     NodeSpec,
     TopologySpec,
     as_graph_spec,
     asymmetric_spec,
+    chain_spec,
     dumbbell_spec,
     fat_tree_spec,
+    parallel_spec,
     partial_deployment_spec,
     tree_spec,
+    two_tier_spec,
 )
-from .trace import LinkMonitor, LinkSample, TransferLog, TransferRecord
+from .trace import TransferLog, TransferRecord
 
 __all__ = [
     "AggregateHost",
@@ -49,15 +42,12 @@ __all__ = [
     "CAPABILITY_HEADER",
     "DRRFairQueue",
     "DropTailQueue",
-    "Dumbbell",
     "Event",
     "Host",
     "HostShim",
     "IP_TCP_HEADER",
     "LegacyDefaults",
     "Link",
-    "LinkMonitor",
-    "LinkSample",
     "LinkSpec",
     "Network",
     "Node",
@@ -77,14 +67,13 @@ __all__ = [
     "TransferRecord",
     "as_graph_spec",
     "asymmetric_spec",
-    "build_chain",
-    "build_two_tier",
-    "build_dumbbell",
-    "build_parallel",
     "build_static_routes",
+    "chain_spec",
     "dumbbell_spec",
     "fat_tree_spec",
     "instantiate",
+    "parallel_spec",
     "partial_deployment_spec",
     "tree_spec",
+    "two_tier_spec",
 ]

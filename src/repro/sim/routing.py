@@ -49,15 +49,15 @@ def build_static_routes(nodes: List[Node], strict: bool = True) -> None:
 
     For each host H, run a BFS backwards from H over reverse links; for
     every other node, the first hop on the shortest path to H becomes the
-    route.  With symmetric topologies (every builder in this package creates
-    duplex links) a forward BFS from each node would give identical results,
-    but the backward sweep is O(hosts * edges) instead of O(nodes * edges).
+    route.  With symmetric topologies (duplex links throughout) a forward
+    BFS from each node would give identical results, but the backward
+    sweep is O(hosts * edges) instead of O(nodes * edges).
 
     Equal-cost ties break deterministically: each node's incoming links
     are explored in sorted ``(src.name, dst.name, name)`` order, so the
     chosen route is a pure function of the graph — independent of node
-    construction order and of ``PYTHONHASHSEED``.  (On ``build_parallel``
-    this preserves the documented RA-over-RB preference.)
+    construction order and of ``PYTHONHASHSEED``.  (On ``parallel_spec``
+    this gives the documented RA-over-RB preference.)
 
     An :class:`~repro.sim.node.AggregateHost` installs one
     ``routing_ranges`` block entry per node instead of ``count``

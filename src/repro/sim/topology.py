@@ -8,15 +8,12 @@ host groups collapse into :class:`~repro.sim.node.AggregateHost` nodes
 (one node + one channelized access trunk per group), which is how
 10^4–10^5-sender scenarios fit in one process.
 
-:func:`build_dumbbell` constructs the simulation topology of Figure 7: ten
-legitimate users and a variable number of attackers on the left, a 10 Mb/s
-10 ms bottleneck in the middle, and the destination (plus an optional
-colluder) on the right.  Access links add 10 ms each way, giving the
-paper's 60 ms RTT.  It is a thin wrapper over
-``instantiate(dumbbell_spec(...))`` and is construction-order equivalent
-to the historical hand-rolled builder (the golden-run suite pins this).
+It is the only code that builds a :class:`Network`: every topology —
+the Figure 7 dumbbell, the chain, two-tier and parallel-path shapes, the
+tree, fat-tree and AS-graph generators — is a spec from
+:mod:`repro.sim.topospec` passed through :func:`instantiate`.
 
-Builders are scheme-parametric.  A *scheme* object supplies the queue
+Construction is scheme-parametric.  A *scheme* object supplies the queue
 discipline for each link, the router processor, and the host shim; the four
 schemes the paper compares (TVA, SIFF, pushback, legacy Internet) each
 implement this factory protocol.  See :class:`SchemeFactory`.
@@ -32,7 +29,7 @@ from .link import AggregateLink, Link
 from .node import AggregateHost, Host, HostShim, Node, Router, RouterProcessor
 from .queues import DropTailQueue, Qdisc
 from .routing import build_static_routes
-from .topospec import LinkSpec, NodeSpec, TopologySpec, dumbbell_spec
+from .topospec import TopologySpec
 
 
 class SchemeFactory(Protocol):
@@ -85,7 +82,7 @@ class SchemeFactory(Protocol):
         """``role`` is ``user``, ``attacker``, ``destination`` or ``colluder``."""
         ...
 
-    def wire(self, net: "Dumbbell") -> None:
+    def wire(self, net: "Network") -> None:
         """Post-construction hook (e.g. pushback registers the links whose
         drops it monitors)."""
         ...
@@ -136,7 +133,7 @@ class LegacyDefaults:
     def make_host_shim(self, role: str) -> Optional[HostShim]:
         return None
 
-    def wire(self, net: "Dumbbell") -> None:
+    def wire(self, net: "Network") -> None:
         pass
 
     def reboot_router(self, router_name: str, now: float, rotate_secret: bool = True) -> bool:
@@ -156,7 +153,7 @@ class Network:
     groups, in construction order (``attackers`` keeps only the expanded
     hosts, for backward compatibility).  ``spec`` is the
     :class:`~repro.sim.topospec.TopologySpec` this network was built
-    from, when it came through :func:`instantiate`.
+    from.
     """
 
     sim: Simulator
@@ -164,8 +161,6 @@ class Network:
     attackers: List[Host] = field(default_factory=list)
     destination: Optional[Host] = None
     colluder: Optional[Host] = None
-    left: Optional[Router] = None
-    right: Optional[Router] = None
     bottleneck: Optional[Link] = None
     reverse_bottleneck: Optional[Link] = None
     nodes: List[Node] = field(default_factory=list)
@@ -173,12 +168,6 @@ class Network:
     spec: Optional[TopologySpec] = None
     attacker_units: List[Node] = field(default_factory=list)
     aggregates: List[AggregateHost] = field(default_factory=list)
-
-    def host_by_address(self, address: int) -> Optional[Host]:
-        for node in self.nodes:
-            if isinstance(node, Host) and node.address == address:
-                return node
-        return None
 
     def router_by_name(self, name: str) -> Router:
         """Resolve a router by name; raises ``KeyError`` so fault specs
@@ -209,34 +198,6 @@ class Network:
         if not found:
             raise KeyError(f"no link named {name!r}")
         return found
-
-
-#: Backward-compatible alias: the Figure 7 network type grew into the
-#: general Network; existing imports keep working.
-Dumbbell = Network
-
-
-def _duplex(
-    scheme: SchemeFactory,
-    sim: Simulator,
-    a: Node,
-    b: Node,
-    bandwidth_bps: float,
-    delay: float,
-    kind_ab: str,
-    kind_ba: str,
-    links: List[Link],
-) -> tuple:
-    ab = Link(sim, a, b, bandwidth_bps, delay, scheme.make_qdisc(kind_ab, bandwidth_bps))
-    ba = Link(sim, b, a, bandwidth_bps, delay, scheme.make_qdisc(kind_ba, bandwidth_bps))
-    # A host's uplink delivers traffic entering the trust domain: the
-    # router at its far end tags requests arriving over it.
-    ab.boundary_ingress = kind_ab == "access_up"
-    ba.boundary_ingress = kind_ba == "access_up"
-    a.add_link(ab)
-    b.add_link(ba)
-    links.extend((ab, ba))
-    return ab, ba
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +250,7 @@ def instantiate(
     Construction order is deterministic and matters: routers and host
     groups are created in node-declaration order (host shims draw from
     the scheme's RNG, so shim creation order is part of the simulation's
-    seed contract), then links in link-declaration order.  For the
-    dumbbell spec this reproduces the historical ``build_dumbbell``
-    construction exactly.
+    seed contract), then links in link-declaration order.
 
     With ``aggregate=True``, attacker groups with more than one member
     become a single :class:`~repro.sim.node.AggregateHost` whose access
@@ -313,9 +272,6 @@ def instantiate(
             router = Router(sim, ns.name, processor)
             by_name[ns.name] = router
             net.nodes.append(router)
-            if net.left is None:
-                net.left = router
-            net.right = router
             continue
         if ns.count == 0:
             members[ns.name] = []
@@ -377,197 +333,6 @@ def instantiate(
                     net.bottleneck = fwd
                     net.reverse_bottleneck = back
 
-    build_static_routes(net.nodes)
-    scheme.wire(net)
-    return net
-
-
-def build_dumbbell(
-    sim: Simulator,
-    scheme: SchemeFactory,
-    n_users: int = 10,
-    n_attackers: int = 10,
-    bottleneck_bps: float = 10e6,
-    bottleneck_delay: float = 0.010,
-    access_bps: float = 100e6,
-    access_delay: float = 0.010,
-    with_colluder: bool = True,
-) -> Network:
-    """Build the Figure 7 dumbbell for ``scheme``.
-
-    Left router is the trust boundary where path identifiers are stamped
-    (one ingress interface per host, so each sender gets a distinct tag,
-    matching the paper's "AS edge" behaviour).
-    """
-    return instantiate(
-        dumbbell_spec(
-            n_users=n_users,
-            n_attackers=n_attackers,
-            bottleneck_bps=bottleneck_bps,
-            bottleneck_delay=bottleneck_delay,
-            access_bps=access_bps,
-            access_delay=access_delay,
-            with_colluder=with_colluder,
-        ),
-        sim,
-        scheme,
-    )
-
-
-def build_two_tier(
-    sim: Simulator,
-    scheme: SchemeFactory,
-    n_sites: int = 4,
-    hosts_per_site: int = 4,
-    bottleneck_bps: float = 10e6,
-    edge_bps: float = 100e6,
-    access_bps: float = 100e6,
-    delay: float = 0.005,
-) -> Dumbbell:
-    """A two-level sender tree exercising path-identifier semantics.
-
-    Hosts sit behind *site* routers (stub networks below the trust
-    boundary); sites connect to one edge router — the trust boundary —
-    which aggregates into the core and the bottleneck.  The edge tags
-    requests per site uplink, so every host of a site carries the same
-    path identifier: "senders that share the same path identifier share
-    fate, localizing the impact of an attack" (Section 3.2).  The core
-    routers do not re-tag.
-
-    ``net.users`` lists hosts site by site (``hosts_per_site`` hosts per
-    site); the destination sits behind the far core router.
-    """
-    net = Dumbbell(sim=sim)
-    edge = Router(sim, "EDGE", scheme.make_router_processor("EDGE", trust_boundary=True))
-    core_left = Router(sim, "C1", scheme.make_router_processor("C1", trust_boundary=False))
-    core_right = Router(sim, "C2", scheme.make_router_processor("C2", trust_boundary=True))
-    net.left, net.right = core_left, core_right
-    net.nodes.extend((edge, core_left, core_right))
-    _duplex(scheme, sim, edge, core_left, edge_bps, delay, "core", "core", net.links)
-    net.bottleneck, net.reverse_bottleneck = _duplex(
-        scheme, sim, core_left, core_right, bottleneck_bps, delay,
-        "bottleneck", "core", net.links,
-    )
-
-    next_addr = 1
-    for s in range(n_sites):
-        site = Router(sim, f"S{s}", processor=None)  # stub LAN switch
-        net.nodes.append(site)
-        up, _down = _duplex(scheme, sim, site, edge, edge_bps, delay,
-                            "core", "core", net.links)
-        # The site's uplink is where traffic enters the trust domain.
-        up.boundary_ingress = True
-        for h in range(hosts_per_site):
-            host = Host(sim, f"h{s}.{h}", next_addr,
-                        shim=scheme.make_host_shim("user"))
-            next_addr += 1
-            # Host links are *below* the boundary: the site does not tag.
-            host_up, host_down = _duplex(scheme, sim, host, site, access_bps,
-                                         delay, "core", "core", net.links)
-            host_up.boundary_ingress = False
-            net.users.append(host)
-            net.nodes.append(host)
-
-    destination = Host(sim, "destination", next_addr,
-                       shim=scheme.make_host_shim("destination"))
-    net.destination = destination
-    net.nodes.append(destination)
-    _duplex(scheme, sim, destination, core_right, access_bps, delay,
-            "access_up", "access_down", net.links)
-
-    build_static_routes(net.nodes)
-    scheme.wire(net)
-    return net
-
-
-def build_chain(
-    sim: Simulator,
-    scheme: SchemeFactory,
-    n_routers: int = 3,
-    n_hosts_per_end: int = 1,
-    link_bps: float = 10e6,
-    delay: float = 0.005,
-) -> Dumbbell:
-    """A linear chain of routers with hosts at each end.
-
-    Used by tests and by the incremental-deployment example (Section 8):
-    processors can be attached to only a subset of the routers.
-    """
-    net = Dumbbell(sim=sim)
-    routers = [
-        Router(sim, f"R{i}", scheme.make_router_processor(f"R{i}", trust_boundary=(i == 0)))
-        for i in range(n_routers)
-    ]
-    net.nodes.extend(routers)
-    net.left, net.right = routers[0], routers[-1]
-    for a, b in zip(routers, routers[1:]):
-        ab, _ = _duplex(scheme, sim, a, b, link_bps, delay, "bottleneck", "core", net.links)
-        if net.bottleneck is None:
-            net.bottleneck = ab
-
-    next_addr = 1
-
-    def add_host(name: str, role: str, side: Router) -> Host:
-        nonlocal next_addr
-        host = Host(sim, name, next_addr, shim=scheme.make_host_shim(role))
-        next_addr += 1
-        _duplex(scheme, sim, host, side, link_bps * 10, delay, "access_up", "access_down", net.links)
-        net.nodes.append(host)
-        return host
-
-    for i in range(n_hosts_per_end):
-        net.users.append(add_host(f"src{i}", "user", routers[0]))
-    net.destination = add_host("dst", "destination", routers[-1])
-    build_static_routes(net.nodes)
-    scheme.wire(net)
-    return net
-
-
-def build_parallel(
-    sim: Simulator,
-    scheme: SchemeFactory,
-    n_hosts: int = 2,
-    link_bps: float = 10e6,
-    access_bps: float = 100e6,
-    delay: float = 0.005,
-) -> Dumbbell:
-    """Two equal-cost paths between the edges: R1 -> {RA | RB} -> R2.
-
-    The topology for route-change experiments (Section 3.8): BFS breaks
-    the tie deterministically in favour of RA, so taking ``R1<->RA`` down
-    and rebuilding routes moves every flow onto RB — whose routers hold
-    different secrets and no cached flow state, exactly the mid-flow path
-    shift that demotes packets and forces re-requests.
-
-    ``net.bottleneck`` is the initially used ``R1->RA`` link.
-    """
-    net = Dumbbell(sim=sim)
-    r1 = Router(sim, "R1", scheme.make_router_processor("R1", trust_boundary=True))
-    ra = Router(sim, "RA", scheme.make_router_processor("RA", trust_boundary=False))
-    rb = Router(sim, "RB", scheme.make_router_processor("RB", trust_boundary=False))
-    r2 = Router(sim, "R2", scheme.make_router_processor("R2", trust_boundary=False))
-    net.left, net.right = r1, r2
-    net.nodes.extend((r1, ra, rb, r2))
-    upper, _ = _duplex(scheme, sim, r1, ra, link_bps, delay, "bottleneck", "core", net.links)
-    _duplex(scheme, sim, ra, r2, link_bps, delay, "bottleneck", "core", net.links)
-    _duplex(scheme, sim, r1, rb, link_bps, delay, "bottleneck", "core", net.links)
-    _duplex(scheme, sim, rb, r2, link_bps, delay, "bottleneck", "core", net.links)
-    net.bottleneck = upper
-
-    next_addr = 1
-
-    def add_host(name: str, role: str, side: Router) -> Host:
-        nonlocal next_addr
-        host = Host(sim, name, next_addr, shim=scheme.make_host_shim(role))
-        next_addr += 1
-        _duplex(scheme, sim, host, side, access_bps, delay,
-                "access_up", "access_down", net.links)
-        net.nodes.append(host)
-        return host
-
-    for i in range(n_hosts):
-        net.users.append(add_host(f"src{i}", "user", r1))
-    net.destination = add_host("dst", "destination", r2)
     build_static_routes(net.nodes)
     scheme.wire(net)
     return net

@@ -12,20 +12,30 @@ spec into a live network (nodes, links, shims, routes) is
 
 Generators cover the shapes the evaluation needs:
 
-* :func:`dumbbell_spec` — the paper's Figure 7 dumbbell, equivalent to
-  :func:`~repro.sim.topology.build_dumbbell` (golden-run compatible);
+* :func:`dumbbell_spec` — the paper's Figure 7 dumbbell (ten users and
+  the attackers on the left, a 10 Mb/s 10 ms bottleneck, the destination
+  and an optional colluder on the right; 10 ms access links give the
+  paper's 60 ms RTT);
 * :func:`tree_spec` — a multi-bottleneck aggregation tree (leaf sites
   feeding branch routers feeding a root, capacity narrowing upward);
 * :func:`fat_tree_spec` — a k-ary fat-tree datacenter fabric;
 * :func:`as_graph_spec` — an AS-like transit/stub graph: a ring of
   transit routers with chords, stub (access) routers hanging off them,
-  host groups inside the stubs.
+  host groups inside the stubs;
+* :func:`asymmetric_spec` — distinct forward and reverse paths;
+* :func:`partial_deployment_spec` — a router chain with the scheme on a
+  subset of hops (Section 8);
+* :func:`chain_spec` — a plain router chain with hosts at each end;
+* :func:`two_tier_spec` — sites behind a tagging edge router, for the
+  Section 3.2 path-identifier fate sharing;
+* :func:`parallel_spec` — two equal-cost paths, for Section 3.8 route
+  changes.
 
 Addressing is deterministic: host groups receive consecutive address
 blocks in node-declaration order, starting at 1.  The dumbbell spec
-therefore reproduces the historical layout (users ``1..n_users``,
-attackers next, then destination, then colluder) that the filtering
-policy's suspect set relies on.
+therefore lays out users ``1..n_users``, attackers next, then the
+destination, then the colluder — the layout the filtering policy's
+suspect set relies on.
 """
 
 from __future__ import annotations
@@ -248,9 +258,10 @@ def dumbbell_spec(
 ) -> TopologySpec:
     """The Figure 7 dumbbell as a spec.
 
-    Instantiating this spec is node-for-node, link-for-link, and
-    address-for-address identical to the historical ``build_dumbbell``
-    (the golden-run suite pins that equivalence).
+    The left router R1 is the trust boundary where path identifiers are
+    stamped (one ingress interface per host, so each sender gets a
+    distinct tag, matching the paper's "AS edge" behaviour).  The
+    golden-run suite pins the construction order.
     """
     nodes: List[NodeSpec] = [
         NodeSpec("R1", kind="router", trust_boundary=True),
@@ -558,3 +569,117 @@ def partial_deployment_spec(
     links.append(LinkSpec("destination", f"R{n_routers - 1}", access_bps, delay,
                           kind="access_up", kind_back="access_down"))
     return TopologySpec(name="partial", nodes=tuple(nodes), links=tuple(links))
+
+
+def chain_spec(
+    n_routers: int = 3,
+    n_hosts_per_end: int = 1,
+    link_bps: float = 10e6,
+    delay: float = 0.005,
+) -> TopologySpec:
+    """A linear chain of routers with hosts at each end.
+
+    Users ``src0..`` sit on R0 (the trust boundary), the destination
+    ``dst`` on the last router; access links run at ``link_bps * 10``.
+    Used by tests and by the incremental-deployment example (Section 8).
+    """
+    last = f"R{n_routers - 1}"
+    nodes: List[NodeSpec] = [
+        NodeSpec(f"R{i}", kind="router", trust_boundary=(i == 0))
+        for i in range(n_routers)
+    ]
+    links: List[LinkSpec] = [
+        LinkSpec(f"R{i}", f"R{i + 1}", link_bps, delay,
+                 kind="bottleneck", kind_back="core", bottleneck=(i == 0))
+        for i in range(n_routers - 1)
+    ]
+    nodes.append(NodeSpec("src", role="user", count=n_hosts_per_end, indexed=True))
+    links.append(LinkSpec("src", "R0", link_bps * 10, delay,
+                          kind="access_up", kind_back="access_down"))
+    nodes.append(NodeSpec("dst", role="destination", indexed=False))
+    links.append(LinkSpec("dst", last, link_bps * 10, delay,
+                          kind="access_up", kind_back="access_down"))
+    return TopologySpec(name="chain", nodes=tuple(nodes), links=tuple(links))
+
+
+def two_tier_spec(
+    n_sites: int = 4,
+    hosts_per_site: int = 4,
+    bottleneck_bps: float = 10e6,
+    edge_bps: float = 100e6,
+    access_bps: float = 100e6,
+    delay: float = 0.005,
+) -> TopologySpec:
+    """A two-level sender tree exercising path-identifier semantics.
+
+    Hosts sit behind *site* routers (stub networks below the trust
+    boundary, running no scheme processor); sites connect to one edge
+    router — the trust boundary — which aggregates into the core
+    (EDGE -> C1 -> C2) and the C1 -> C2 bottleneck.  The edge tags
+    requests per site uplink, so every host of a site carries the same
+    path identifier: "senders that share the same path identifier share
+    fate, localizing the impact of an attack" (Section 3.2).
+
+    Users are listed site by site (group ``h{s}.``, members
+    ``h{s}.0..``); the destination sits behind C2.
+    """
+    nodes: List[NodeSpec] = [
+        NodeSpec("EDGE", kind="router", trust_boundary=True),
+        NodeSpec("C1", kind="router"),
+        NodeSpec("C2", kind="router", trust_boundary=True),
+    ]
+    links: List[LinkSpec] = [
+        LinkSpec("EDGE", "C1", edge_bps, delay),
+        LinkSpec("C1", "C2", bottleneck_bps, delay,
+                 kind="bottleneck", kind_back="core", bottleneck=True),
+    ]
+    for s in range(n_sites):
+        site, group = f"S{s}", f"h{s}."
+        nodes.append(NodeSpec(site, kind="router", scheme_enabled=False))
+        # The site's uplink is where traffic enters the trust domain;
+        # host links are below the boundary, so the site does not tag.
+        links.append(LinkSpec(site, "EDGE", edge_bps, delay, boundary=True))
+        nodes.append(NodeSpec(group, role="user", count=hosts_per_site,
+                              indexed=True))
+        links.append(LinkSpec(group, site, access_bps, delay))
+    nodes.append(NodeSpec("destination", role="destination", indexed=False))
+    links.append(LinkSpec("destination", "C2", access_bps, delay,
+                          kind="access_up", kind_back="access_down"))
+    return TopologySpec(name="two_tier", nodes=tuple(nodes), links=tuple(links))
+
+
+def parallel_spec(
+    n_hosts: int = 2,
+    link_bps: float = 10e6,
+    access_bps: float = 100e6,
+    delay: float = 0.005,
+) -> TopologySpec:
+    """Two equal-cost paths between the edges: R1 -> {RA | RB} -> R2.
+
+    The topology for route-change experiments (Section 3.8): routing
+    breaks the tie deterministically in favour of RA, so taking
+    ``R1<->RA`` down and rebuilding routes moves every flow onto RB —
+    whose routers hold different secrets and no cached flow state,
+    exactly the mid-flow path shift that demotes packets and forces
+    re-requests.  The bottleneck is the initially used ``R1->RA`` link.
+    """
+    nodes = (
+        NodeSpec("R1", kind="router", trust_boundary=True),
+        NodeSpec("RA", kind="router"),
+        NodeSpec("RB", kind="router"),
+        NodeSpec("R2", kind="router"),
+        NodeSpec("src", role="user", count=n_hosts, indexed=True),
+        NodeSpec("dst", role="destination", indexed=False),
+    )
+    links = (
+        LinkSpec("R1", "RA", link_bps, delay,
+                 kind="bottleneck", kind_back="core", bottleneck=True),
+        LinkSpec("RA", "R2", link_bps, delay, kind="bottleneck", kind_back="core"),
+        LinkSpec("R1", "RB", link_bps, delay, kind="bottleneck", kind_back="core"),
+        LinkSpec("RB", "R2", link_bps, delay, kind="bottleneck", kind_back="core"),
+        LinkSpec("src", "R1", access_bps, delay,
+                 kind="access_up", kind_back="access_down"),
+        LinkSpec("dst", "R2", access_bps, delay,
+                 kind="access_up", kind_back="access_down"),
+    )
+    return TopologySpec(name="parallel", nodes=nodes, links=links)

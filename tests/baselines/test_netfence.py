@@ -14,7 +14,7 @@ from repro.baselines.netfence import (
     _feedback_mac,
 )
 from repro.core.policy import ClientPolicy, ServerPolicy
-from repro.sim import Packet, Simulator, build_chain, build_dumbbell
+from repro.sim import Packet, Simulator, chain_spec, dumbbell_spec, instantiate
 from repro.sim.queues import TokenBucket
 from repro.transport import TcpListener, TcpSender
 
@@ -287,7 +287,7 @@ class TestReboot:
     def test_reboot_clears_state_and_rotates_secret(self):
         sim = Simulator()
         scheme = NetFenceScheme(seed=3)
-        build_dumbbell(sim, scheme, n_users=1, n_attackers=1)
+        instantiate(dumbbell_spec(n_users=1, n_attackers=1), sim, scheme)
         proc = scheme.cores["R1"]
         router = FakeRouter(sim)
         ingress = FakeLink(boundary_ingress=True)
@@ -306,7 +306,7 @@ class TestReboot:
     def test_reboot_without_rotation_keeps_macs_valid(self):
         sim = Simulator()
         scheme = NetFenceScheme(seed=3)
-        build_dumbbell(sim, scheme, n_users=1, n_attackers=1)
+        instantiate(dumbbell_spec(n_users=1, n_attackers=1), sim, scheme)
         proc = scheme.cores["R1"]
         pkt = Packet(src=1, dst=2, size=100, proto="raw", created=0.0)
         proc.process(pkt, FakeRouter(sim), FakeLink(True), None)
@@ -386,7 +386,7 @@ class TestWiring:
     def test_wire_installs_mark_hooks_on_router_egress(self):
         sim = Simulator()
         scheme = NetFenceScheme(seed=3)
-        net = build_dumbbell(sim, scheme, n_users=2, n_attackers=2)
+        net = instantiate(dumbbell_spec(n_users=2, n_attackers=2), sim, scheme)
         bottleneck = net.bottleneck
         q = bottleneck.qdisc
         assert q.mark_hook is not None
@@ -405,7 +405,7 @@ class TestWiring:
     def test_queue_buildup_flips_stamp_to_cong(self):
         sim = Simulator()
         scheme = NetFenceScheme(seed=3)
-        net = build_dumbbell(sim, scheme, n_users=1, n_attackers=1)
+        net = instantiate(dumbbell_spec(n_users=1, n_attackers=1), sim, scheme)
         q = net.bottleneck.qdisc
         proc = scheme.cores["R1"]
         router = FakeRouter(sim)
@@ -426,7 +426,7 @@ class TestEndToEnd:
     def test_transfer_completes_over_netfence_chain(self):
         sim = Simulator()
         scheme = NetFenceScheme()
-        net = build_chain(sim, scheme, n_routers=2)
+        net = instantiate(chain_spec(n_routers=2), sim, scheme)
         TcpListener(sim, net.destination, 80)
         done = []
         TcpSender(sim, net.users[0], net.destination.address, 80, 20_000,
@@ -442,7 +442,7 @@ class TestEndToEnd:
     def test_metric_items_cover_every_core(self):
         sim = Simulator()
         scheme = NetFenceScheme()
-        build_dumbbell(sim, scheme, n_users=1, n_attackers=1)
+        instantiate(dumbbell_spec(n_users=1, n_attackers=1), sim, scheme)
         names = [n for n, _ in scheme.metric_items()]
         assert len(names) == len(set(names))
         for core in scheme.cores:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.baselines import SiffScheme
 from repro.baselines.siff import SiffData, SiffExplorer, SiffRouterProcessor
-from repro.sim import Packet, Simulator, build_chain
+from repro.sim import Packet, Simulator, chain_spec, instantiate
 from repro.transport import TcpListener, TcpSender
 
 
@@ -87,7 +87,7 @@ class TestSiffEndToEnd:
     def test_transfer_completes_over_siff_chain(self):
         sim = Simulator()
         scheme = SiffScheme()
-        net = build_chain(sim, scheme, n_routers=2)
+        net = instantiate(chain_spec(n_routers=2), sim, scheme)
         TcpListener(sim, net.destination, 80)
         done = []
         TcpSender(sim, net.users[0], net.destination.address, 80, 20_000,
@@ -102,7 +102,7 @@ class TestSiffEndToEnd:
         """Each TCP connection explores anew (Section 3.10's contrast)."""
         sim = Simulator()
         scheme = SiffScheme()
-        net = build_chain(sim, scheme, n_routers=2)
+        net = instantiate(chain_spec(n_routers=2), sim, scheme)
         TcpListener(sim, net.destination, 80)
         user = net.users[0]
         done = []

@@ -100,10 +100,10 @@ class TestOptions:
         assert req_q.active_queues == 1  # everything in one queue
 
     def test_factory_records_cores_and_shims(self):
-        from repro.sim import Simulator, build_dumbbell
+        from repro.sim import Simulator, dumbbell_spec, instantiate
 
         scheme = TvaScheme()
-        build_dumbbell(Simulator(), scheme, n_users=1, n_attackers=1)
+        instantiate(dumbbell_spec(n_users=1, n_attackers=1), Simulator(), scheme)
         assert set(scheme.router_cores) == {"R1", "R2"}
         assert {"user", "attacker", "destination", "colluder"} <= set(scheme.shims)
 

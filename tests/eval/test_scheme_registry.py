@@ -32,7 +32,7 @@ from repro.eval.experiments import SCHEMES as EXPERIMENT_SCHEMES
 from repro.eval.experiments import ExperimentConfig
 from repro.eval.runner import ScenarioSpec, build_fig11_spec
 from repro.schemes import SCHEMES, build_scheme, knobs_for, scheme_names
-from repro.sim import SchemeFactory, Simulator, build_dumbbell
+from repro.sim import SchemeFactory, Simulator, dumbbell_spec, instantiate
 
 #: One non-default override per scheme, exercising a representative knob
 #: type each (tuple-free floats, ints, and the empty case).
@@ -139,7 +139,7 @@ class TestKnobContracts:
 
     def test_reboot_router_protocol_on_live_dumbbell(self, name):
         scheme = build_scheme(name, seed=5)
-        build_dumbbell(Simulator(), scheme, n_users=1, n_attackers=1)
+        instantiate(dumbbell_spec(n_users=1, n_attackers=1), Simulator(), scheme)
         hit = scheme.reboot_router("R1", now=1.0)
         miss = scheme.reboot_router("no-such-router", now=1.0)
         assert isinstance(hit, bool)
@@ -147,7 +147,7 @@ class TestKnobContracts:
 
     def test_metric_items_names_unique_and_callable(self, name):
         scheme = build_scheme(name, seed=5)
-        build_dumbbell(Simulator(), scheme, n_users=1, n_attackers=1)
+        instantiate(dumbbell_spec(n_users=1, n_attackers=1), Simulator(), scheme)
         items = list(scheme.metric_items())
         names = [n for n, _ in items]
         assert len(names) == len(set(names)), f"duplicate metric names: {names}"

@@ -7,7 +7,7 @@ they pin the whole path a ``repro dynamics`` run exercises.
 
 from repro.core import ServerPolicy, TvaScheme
 from repro.faults import FaultInjector, FaultSchedule, RouterReboot
-from repro.sim import Simulator, TransferLog, build_chain
+from repro.sim import Simulator, TransferLog, chain_spec, instantiate
 from repro.transport import RepeatingTransferClient, TcpListener
 
 
@@ -17,7 +17,7 @@ def make_tva_net():
         request_fraction=0.05,
         destination_policy=lambda: ServerPolicy(default_grant=(256 * 1024, 10)),
     )
-    net = build_chain(sim, scheme, n_routers=2, link_bps=10e6)
+    net = instantiate(chain_spec(n_routers=2, link_bps=10e6), sim, scheme)
     return sim, scheme, net
 
 

@@ -13,7 +13,7 @@ import pytest
 
 from repro.core import RequestHeader, ServerPolicy, TvaScheme
 from repro.core.policy import DestinationPolicy
-from repro.sim import Simulator, TransferLog, build_two_tier
+from repro.sim import Simulator, TransferLog, instantiate, two_tier_spec
 from repro.transport import CbrFlood, RepeatingTransferClient, TcpListener
 
 
@@ -34,7 +34,7 @@ def run_two_tier(duration=12.0):
     sim = Simulator()
     scheme = TvaScheme(request_fraction=0.01,
                        destination_policy=_NoRenewalSmallGrant)
-    net = build_two_tier(sim, scheme, n_sites=3, hosts_per_site=3)
+    net = instantiate(two_tier_spec(n_sites=3, hosts_per_site=3), sim, scheme)
     TcpListener(sim, net.destination, 80)
     logs = {}
     rng = random.Random(2)
@@ -87,7 +87,7 @@ class TestTwoTierTagging:
         sites carry different ones."""
         sim = Simulator()
         scheme = TvaScheme()
-        net = build_two_tier(sim, scheme, n_sites=2, hosts_per_site=2)
+        net = instantiate(two_tier_spec(n_sites=2, hosts_per_site=2), sim, scheme)
         seen = {}
 
         # Capture request headers as they reach the core bottleneck.
@@ -115,7 +115,7 @@ class TestTwoTierTagging:
         edge's; the cores leave the request alone."""
         sim = Simulator()
         scheme = TvaScheme()
-        net = build_two_tier(sim, scheme, n_sites=1, hosts_per_site=1)
+        net = instantiate(two_tier_spec(n_sites=1, hosts_per_site=1), sim, scheme)
         captured = []
         orig = net.destination.receive
 
@@ -136,7 +136,7 @@ class TestTwoTierTagging:
         sim = Simulator()
         scheme = TvaScheme(destination_policy=lambda: ServerPolicy(
             default_grant=(256 * 1024, 10)))
-        net = build_two_tier(sim, scheme)
+        net = instantiate(two_tier_spec(), sim, scheme)
         TcpListener(sim, net.destination, 80)
         log = TransferLog()
         for host in net.users:

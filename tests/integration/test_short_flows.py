@@ -11,7 +11,7 @@ import random
 import pytest
 
 from repro.core import AlwaysGrant, ServerPolicy, TvaScheme
-from repro.sim import Simulator, TransferLog, build_chain, build_dumbbell
+from repro.sim import Simulator, TransferLog, chain_spec, dumbbell_spec, instantiate
 from repro.transport import (
     CbrFlood,
     PacketSink,
@@ -35,7 +35,7 @@ class TestUnidirectionalStream:
             destination_policy=lambda: ServerPolicy(
                 default_grant=(256 * 1024, 10)),
         )
-        net = build_chain(sim, scheme, n_routers=2, link_bps=10e6)
+        net = instantiate(chain_spec(n_routers=2, link_bps=10e6), sim, scheme)
         sink = PacketSink(net.destination, "cbr")
         stream = CbrFlood(sim, net.users[0], net.destination.address,
                           rate_bps=rate, pkt_size=1000, mode="shim")
@@ -81,8 +81,10 @@ class TestDnsLikeWorkload:
             destination_policy=lambda: ServerPolicy(
                 default_grant=(4 * 1024, 10)),
         )
-        net = build_dumbbell(sim, scheme, n_users=n_clients, n_attackers=0,
-                             with_colluder=False)
+        net = instantiate(
+            dumbbell_spec(n_users=n_clients, n_attackers=0, with_colluder=False),
+            sim, scheme,
+        )
         TcpListener(sim, net.destination, 53)
         done, failed = [], []
         rng = random.Random(3)
@@ -121,7 +123,7 @@ class TestSingleCapabilityManyConnections:
             destination_policy=lambda: ServerPolicy(
                 default_grant=(256 * 1024, 10)),
         )
-        net = build_chain(sim, scheme, n_routers=2, link_bps=10e6)
+        net = instantiate(chain_spec(n_routers=2, link_bps=10e6), sim, scheme)
         TcpListener(sim, net.destination, 53)
         log = TransferLog()
         RepeatingTransferClient(sim, net.users[0], net.destination.address,

@@ -13,7 +13,7 @@ import pytest
 from repro.core import TvaScheme
 from repro.core.params import SERVER_GRANT_BYTES
 from repro.core.policy import ServerPolicy
-from repro.sim import Simulator, TransferLog, build_chain, build_dumbbell
+from repro.sim import Simulator, TransferLog, chain_spec, dumbbell_spec, instantiate
 from repro.transport import (
     CbrFlood,
     PacketSink,
@@ -39,7 +39,7 @@ def run_dumbbell(
 ):
     sim = Simulator()
     scheme = tva_scheme()
-    net = build_dumbbell(sim, scheme, n_users=n_users, n_attackers=n_attackers)
+    net = instantiate(dumbbell_spec(n_users=n_users, n_attackers=n_attackers), sim, scheme)
     log = TransferLog()
     TcpListener(sim, net.destination, 80)
     PacketSink(net.destination, "cbr")
@@ -128,7 +128,7 @@ class TestIncrementalDeployment:
         routers elsewhere still forward shim traffic untouched."""
         sim = Simulator()
         scheme = tva_scheme()
-        net = build_chain(sim, scheme, n_routers=3)
+        net = instantiate(chain_spec(n_routers=3), sim, scheme)
         # Strip the middle router's processor: it becomes a legacy router.
         middle = [n for n in net.nodes if n.name == "R1"][0]
         middle.processor = None
@@ -147,7 +147,7 @@ class TestDemotionPath:
         no congestion, and the destination echoes the demotion."""
         sim = Simulator()
         scheme = tva_scheme()
-        net = build_chain(sim, scheme, n_routers=2)
+        net = instantiate(chain_spec(n_routers=2), sim, scheme)
         from repro.core.header import RegularHeader
         from repro.sim import Packet
 

@@ -9,6 +9,8 @@ metrics off leaves the result untouched.
 
 import json
 
+import pytest
+
 from repro.eval.cache import ResultCache
 from repro.eval.experiments import ExperimentConfig
 from repro.eval.runner import ScenarioSpec, SweepRunner, run_spec
@@ -104,3 +106,65 @@ class TestDeterminism:
         cached = SweepRunner(jobs=1, cache=cache).run([s])[0]
         assert cached == fresh
         assert cache.get(s.key()) == fresh
+
+
+class TestInstrumentLink:
+    """One link watched through ``instrument_link`` + ``Sampler``."""
+
+    def _net(self):
+        from repro.obs import Sampler
+        from repro.obs.instrument import Observation
+        from repro.sim import (DropTailQueue, Host, Link, Simulator,
+                               build_static_routes)
+        from repro.transport import PacketSink
+
+        sim = Simulator()
+        a, b = Host(sim, "a", 1), Host(sim, "b", 2)
+        ab = Link(sim, a, b, 1e6, 0.001,
+                  DropTailQueue(limit_bytes=None, limit_pkts=10))
+        ba = Link(sim, b, a, 1e6, 0.001,
+                  DropTailQueue(limit_bytes=None, limit_pkts=10))
+        a.add_link(ab)
+        b.add_link(ba)
+        build_static_routes([a, b])
+        PacketSink(b, "cbr")
+        obs = Observation(interval=0.5)
+        obs.instrument_link("ab", ab)
+        return sim, a, Sampler(sim, obs.registry, obs.interval)
+
+    @staticmethod
+    def _values(sampler, name):
+        return [value for _, value in sampler.series()[name]]
+
+    def test_samples_track_utilization(self):
+        from repro.transport import CbrFlood
+
+        sim, a, sampler = self._net()
+        CbrFlood(sim, a, 2, rate_bps=0.5e6, pkt_size=500)  # half the link
+        sim.run(until=5.0)
+        util = self._values(sampler, "link.ab.util")
+        assert len(util) == 10
+        assert sum(util) / len(util) == pytest.approx(0.5, abs=0.1)
+        assert self._values(sampler, "link.ab.qdisc.drops")[-1] == 0
+
+    def test_overload_shows_saturation_and_drops(self):
+        from repro.transport import CbrFlood
+
+        sim, a, sampler = self._net()
+        CbrFlood(sim, a, 2, rate_bps=3e6, pkt_size=500)  # 3x the link
+        sim.run(until=3.0)
+        util = self._values(sampler, "link.ab.util")
+        assert sum(util) / len(util) > 0.9
+        assert self._values(sampler, "link.ab.qdisc.drops")[-1] > 100
+
+    def test_idle_link_reads_zero(self):
+        sim, _, sampler = self._net()
+        sim.run(until=2.0)
+        assert self._values(sampler, "link.ab.util") == [0.0] * 4
+
+    def test_rejects_bad_interval(self):
+        from repro.obs import MetricRegistry, Sampler
+        from repro.sim import Simulator
+
+        with pytest.raises(ValueError):
+            Sampler(Simulator(), MetricRegistry(), interval=0.0)

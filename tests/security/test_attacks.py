@@ -221,7 +221,7 @@ class TestDefenseInDepth:
         import random
 
         from repro.core import ServerPolicy, TvaScheme
-        from repro.sim import Packet, Simulator, TransferLog, build_chain
+        from repro.sim import Packet, Simulator, TransferLog, chain_spec, instantiate
         from repro.transport import RepeatingTransferClient, TcpListener
 
         sim = Simulator()
@@ -230,7 +230,7 @@ class TestDefenseInDepth:
             destination_policy=lambda: ServerPolicy(
                 default_grant=(256 * 1024, 10)),
         )
-        net = build_chain(sim, scheme, n_routers=3, link_bps=10e6)
+        net = instantiate(chain_spec(n_routers=3, link_bps=10e6), sim, scheme)
         TcpListener(sim, net.destination, 80)
         log = TransferLog()
         RepeatingTransferClient(sim, net.users[0], net.destination.address,

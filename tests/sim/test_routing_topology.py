@@ -1,4 +1,4 @@
-"""Tests for static routing and the topology builders."""
+"""Tests for static routing and the dumbbell and chain topologies."""
 
 import pytest
 
@@ -10,9 +10,10 @@ from repro.sim import (
     RoutingError,
     LegacyDefaults,
     Simulator,
-    build_chain,
-    build_dumbbell,
     build_static_routes,
+    chain_spec,
+    dumbbell_spec,
+    instantiate,
 )
 from repro.sim.node import Router
 
@@ -45,7 +46,7 @@ class TestStaticRoutes:
 class TestDumbbell:
     def test_figure7_shape(self):
         sim = Simulator()
-        net = build_dumbbell(sim, LegacyDefaults(), n_users=10, n_attackers=5)
+        net = instantiate(dumbbell_spec(n_users=10, n_attackers=5), sim, LegacyDefaults())
         assert len(net.users) == 10
         assert len(net.attackers) == 5
         assert net.destination is not None
@@ -55,7 +56,7 @@ class TestDumbbell:
     def test_rtt_is_60ms(self):
         """10 ms access + 10 ms bottleneck + 10 ms access, each way."""
         sim = Simulator()
-        net = build_dumbbell(sim, LegacyDefaults(), n_users=1, n_attackers=0)
+        net = instantiate(dumbbell_spec(n_users=1, n_attackers=0), sim, LegacyDefaults())
         user, dest = net.users[0], net.destination
         got = []
         dest.bind("raw", 0, lambda pkt: dest.send(
@@ -67,26 +68,19 @@ class TestDumbbell:
 
     def test_unique_addresses(self):
         sim = Simulator()
-        net = build_dumbbell(sim, LegacyDefaults(), n_users=3, n_attackers=3)
+        net = instantiate(dumbbell_spec(n_users=3, n_attackers=3), sim, LegacyDefaults())
         addrs = [h.address for h in net.users + net.attackers
                  + [net.destination, net.colluder]]
         assert len(addrs) == len(set(addrs))
 
     def test_without_colluder(self):
         sim = Simulator()
-        net = build_dumbbell(sim, LegacyDefaults(), with_colluder=False)
+        net = instantiate(dumbbell_spec(with_colluder=False), sim, LegacyDefaults())
         assert net.colluder is None
-
-    def test_host_by_address(self):
-        sim = Simulator()
-        net = build_dumbbell(sim, LegacyDefaults(), n_users=2, n_attackers=0)
-        user = net.users[1]
-        assert net.host_by_address(user.address) is user
-        assert net.host_by_address(9999) is None
 
     def test_cross_traffic_end_to_end(self):
         sim = Simulator()
-        net = build_dumbbell(sim, LegacyDefaults(), n_users=2, n_attackers=1)
+        net = instantiate(dumbbell_spec(n_users=2, n_attackers=1), sim, LegacyDefaults())
         got = []
         net.destination.bind("raw", 0, got.append)
         for host in net.users + net.attackers:
@@ -98,7 +92,7 @@ class TestDumbbell:
 class TestChain:
     def test_chain_connectivity(self):
         sim = Simulator()
-        net = build_chain(sim, LegacyDefaults(), n_routers=4)
+        net = instantiate(chain_spec(n_routers=4), sim, LegacyDefaults())
         got = []
         net.destination.bind("raw", 0, got.append)
         src = net.users[0]
@@ -108,7 +102,7 @@ class TestChain:
 
     def test_chain_router_count(self):
         sim = Simulator()
-        net = build_chain(sim, LegacyDefaults(), n_routers=3)
+        net = instantiate(chain_spec(n_routers=3), sim, LegacyDefaults())
         routers = [n for n in net.nodes if isinstance(n, Router)]
         assert len(routers) == 3
 

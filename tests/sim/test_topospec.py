@@ -14,11 +14,14 @@ from repro.sim import (
     TopologySpec,
     as_graph_spec,
     asymmetric_spec,
+    chain_spec,
     dumbbell_spec,
     fat_tree_spec,
     instantiate,
+    parallel_spec,
     partial_deployment_spec,
     tree_spec,
+    two_tier_spec,
 )
 from repro.sim.node import Router
 
@@ -30,6 +33,9 @@ ALL_GENERATORS = (
     as_graph_spec,
     asymmetric_spec,
     partial_deployment_spec,
+    chain_spec,
+    two_tier_spec,
+    parallel_spec,
 )
 
 
@@ -86,6 +92,17 @@ class TestSpecShapes:
         assert procs["R1"] is None
         assert procs["R2"] is not None
 
+    def test_two_tier_sites_tag_at_the_edge(self):
+        net = instantiate(two_tier_spec(n_sites=2, hosts_per_site=2),
+                          Simulator(), _SchemeWithProcessors())
+        procs = {n.name: n.processor for n in net.nodes
+                 if isinstance(n, Router)}
+        assert procs["S0"] is None and procs["S1"] is None
+        assert all(procs[name] is not None for name in ("EDGE", "C1", "C2"))
+        tagging = sorted(l.name for l in net.links if l.boundary_ingress)
+        assert tagging == ["S0->EDGE", "S1->EDGE", "destination->C2"]
+        assert [h.name for h in net.users] == ["h0.0", "h0.1", "h1.0", "h1.1"]
+
 
 class _SchemeWithProcessors(LegacyDefaults):
     def make_router_processor(self, router_name, trust_boundary):
@@ -131,7 +148,7 @@ class TestInstantiation:
         net = instantiate(spec, sim, LegacyDefaults(), aggregate=True)
         (agg,) = net.aggregates
         # one range entry covers all 50 addresses at the far router
-        right = net.right
+        right = net.router_by_name("R2")
         for addr in (agg.address, agg.address + 49):
             assert right.route_for(addr) is not None
         assert all(addr not in right.routing
